@@ -197,9 +197,8 @@ let ensure_entry_room b need =
     b.cur_val <- val'
   end
 
-(* Per row: sort by column, merge duplicates, drop exact zeros — the
-   same normalization {!Sparse.of_rows} applies, so conversions between
-   the two stores preserve nnz. *)
+(* Per row: sort by column, merge duplicates, drop exact zeros, so
+   [nnz] counts structural non-zeros only. *)
 let add_row b entries =
   let a = Array.of_list entries in
   Array.iter
@@ -329,32 +328,7 @@ let open_file path =
   { rows; cols; block_rows; blocks; channel = Some ch; path = Some path;
     nnz = total_nnz }
 
-(* {2 Conversions} *)
-
-let of_sparse ?block_rows ?spill (s : Sparse.t) =
-  let b = builder ?block_rows ?spill () in
-  let row = ref [] in
-  for i = 0 to Sparse.rows s - 1 do
-    row := [];
-    Sparse.row_iter s i ~f:(fun j v -> row := (j, v) :: !row);
-    add_row b (List.rev !row)
-  done;
-  finish b ~cols:(Sparse.cols s)
-
-let to_sparse t =
-  let entries = Array.make t.rows [] in
-  for b = 0 to block_count t - 1 do
-    with_shard t b (fun ~row0 s ->
-        let nrows = Array.length s.row_ptr - 1 in
-        for r = 0 to nrows - 1 do
-          let acc = ref [] in
-          for k = s.row_ptr.(r + 1) - 1 downto s.row_ptr.(r) do
-            acc := (s.col_idx.(k), s.values.(k)) :: !acc
-          done;
-          entries.(row0 + r) <- !acc
-        done)
-  done;
-  Sparse.of_rows ~rows:t.rows ~cols:t.cols (fun i -> entries.(i))
+(* {2 Queries} *)
 
 let row_sums t =
   let sums = Array.make t.rows 0. in
@@ -581,7 +555,6 @@ let run k ~stat ~src ~dst =
 let spmv k ~src ~dst = ignore (run k ~stat:No_stat ~src ~dst)
 let step_l1 k ~src ~dst = run k ~stat:L1_diff ~src ~dst
 let step_tv k ~pi ~src ~dst = run k ~stat:(Tv pi) ~src ~dst /. 2.
-let kernel_parallel k = Option.is_some k.pool
 
 (* {2 Multi-vector fused products}
 
@@ -609,7 +582,7 @@ let kernel_parallel k = Option.is_some k.pool
    ordering (one pass over the row updating all B vectors per entry)
    measures slower: it pays an [rv] load, a branch and a [dsts.(b)]
    indirection per (entry, vector) while saving only L1-hot re-reads. *)
-let seq_spmv_multi t ~srcs ~dsts ~nb =
+let seq_batch t ~srcs ~dsts ~nb =
   for b = 0 to nb - 1 do
     Array.fill dsts.(b) 0 t.cols 0.
   done;
@@ -637,11 +610,11 @@ let seq_spmv_multi t ~srcs ~dsts ~nb =
 
 (* Batched worker slice: the column-owner-computes split of
    {!slice_spmv}, with the same vector-outermost replay of each row's
-   owned entry range as {!seq_spmv_multi}.  [any] gates the binary
+   owned entry range as {!seq_batch}.  [any] gates the binary
    search to [j0] (one per row, shared by the batch); the per-vector
    scan then walks the L1-hot entries until it leaves the owned
    column range. *)
-let slice_spmv_multi mat ~srcs ~dsts ~nb ~j0 ~j1 =
+let slice_batch mat ~srcs ~dsts ~nb ~j0 ~j1 =
   for b = 0 to nb - 1 do
     Array.fill dsts.(b) j0 (j1 - j0) 0.
   done;
@@ -693,13 +666,15 @@ let slice_spmv_multi mat ~srcs ~dsts ~nb ~j0 ~j1 =
           done)
     mat.blocks
 
-let run_multi k ~stat ~srcs ~dsts =
+let step_tv_multi k ~pi ~srcs ~dsts =
   let mat = k.mat in
   let nb = Array.length srcs in
   if Array.length dsts <> nb then
     invalid_arg "Blocked_csr.step_tv_multi: srcs/dsts length mismatch";
   if nb = 0 then [||]
-  else if nb = 1 then [| run k ~stat ~src:srcs.(0) ~dst:dsts.(0) |]
+  (* A batch of one takes the single-vector kernel, which measures
+     faster than the batch body at width 1. *)
+  else if nb = 1 then [| step_tv k ~pi ~src:srcs.(0) ~dst:dsts.(0) |]
   else begin
     for b = 0 to nb - 1 do
       if Array.length srcs.(b) <> mat.rows || Array.length dsts.(b) <> mat.cols
@@ -708,26 +683,20 @@ let run_multi k ~stat ~srcs ~dsts =
     Obs.Counter.incr spmv_counter;
     (* Per-chunk, per-vector partials: chunk c of vector b lives at
        [c * nb + b], written by the (unique) worker owning chunk c. *)
-    let chunk_stat =
-      match stat with
-      | No_stat -> [||]
-      | _ -> Array.make (k.nchunks * nb) 0.
-    in
+    let chunk_stat = Array.make (k.nchunks * nb) 0. in
+    let stat = Tv pi in
     let stat_chunks ~c0 ~c1 =
-      match stat with
-      | No_stat -> ()
-      | _ ->
-          for c = c0 to c1 - 1 do
-            let j0, j1 = chunk_bounds mat c in
-            for b = 0 to nb - 1 do
-              chunk_stat.((c * nb) + b) <-
-                chunk_stat_value ~stat ~src:srcs.(b) ~dst:dsts.(b) ~j0 ~j1
-            done
-          done
+      for c = c0 to c1 - 1 do
+        let j0, j1 = chunk_bounds mat c in
+        for b = 0 to nb - 1 do
+          chunk_stat.((c * nb) + b) <-
+            chunk_stat_value ~stat ~src:srcs.(b) ~dst:dsts.(b) ~j0 ~j1
+        done
+      done
     in
     (match k.pool with
     | None ->
-        seq_spmv_multi mat ~srcs ~dsts ~nb;
+        seq_batch mat ~srcs ~dsts ~nb;
         stat_chunks ~c0:0 ~c1:k.nchunks
     | Some pool ->
         Parallel.Pool.run pool (fun w _ ->
@@ -735,22 +704,14 @@ let run_multi k ~stat ~srcs ~dsts =
             if c1 > c0 then begin
               let j0 = c0 * chunk_cols
               and j1 = Stdlib.min mat.cols (c1 * chunk_cols) in
-              slice_spmv_multi mat ~srcs ~dsts ~nb ~j0 ~j1;
+              slice_batch mat ~srcs ~dsts ~nb ~j0 ~j1;
               stat_chunks ~c0 ~c1
             end));
-    match stat with
-    | No_stat -> Array.make nb 0.
-    | _ ->
-        let totals = Array.make nb 0. in
-        for c = 0 to k.nchunks - 1 do
-          for b = 0 to nb - 1 do
-            totals.(b) <- totals.(b) +. chunk_stat.((c * nb) + b)
-          done
-        done;
-        totals
+    let totals = Array.make nb 0. in
+    for c = 0 to k.nchunks - 1 do
+      for b = 0 to nb - 1 do
+        totals.(b) <- totals.(b) +. chunk_stat.((c * nb) + b)
+      done
+    done;
+    Array.map (fun s -> s /. 2.) totals
   end
-
-let spmv_multi k ~srcs ~dsts = ignore (run_multi k ~stat:No_stat ~srcs ~dsts)
-
-let step_tv_multi k ~pi ~srcs ~dsts =
-  Array.map (fun s -> s /. 2.) (run_multi k ~stat:(Tv pi) ~srcs ~dsts)

@@ -52,9 +52,9 @@ val builder : ?block_rows:int -> ?spill:string -> unit -> builder
 
 val add_row : builder -> (int * float) list -> unit
 (** Append the next row.  Entries are sorted by column, duplicate
-    columns merged, exact zeros dropped (the {!Sparse.of_rows}
-    normalization, so conversions preserve nnz).  Column bounds are
-    checked at {!finish}, when the final column count is known.
+    columns merged, exact zeros dropped, so {!nnz} counts structural
+    non-zeros only.  Column bounds are checked at {!finish}, when the
+    final column count is known.
     @raise Invalid_argument on a negative column index. *)
 
 val finish : builder -> cols:int -> t
@@ -68,10 +68,7 @@ val open_file : string -> t
     @raise Failure on a truncated or corrupt file.
     @raise Sys_error if the file cannot be read. *)
 
-(** {1 Conversions and queries} *)
-
-val of_sparse : ?block_rows:int -> ?spill:string -> Sparse.t -> t
-val to_sparse : t -> Sparse.t
+(** {1 Queries} *)
 
 val row_sums : t -> float array
 val is_stochastic : ?tol:float -> t -> bool
@@ -88,9 +85,6 @@ val kernel : ?pool:Parallel.Pool.t -> t -> kernel
     size exceeds 1 and every shard is in memory; disk-backed matrices
     always stream sequentially (one shard resident at a time). *)
 
-val kernel_parallel : kernel -> bool
-(** Whether products will actually fan out over a pool. *)
-
 val spmv : kernel -> src:float array -> dst:float array -> unit
 (** [dst ← src · P].  Bit-identical for any pool size.
     @raise Invalid_argument on dimension mismatch. *)
@@ -105,12 +99,6 @@ val step_tv :
   kernel -> pi:float array -> src:float array -> dst:float array -> float
 (** Fused evolution step: [dst ← src · P], returning
     [½ ‖dst − pi‖₁] — the TV distance driving mixing searches. *)
-
-val spmv_multi :
-  kernel -> srcs:float array array -> dsts:float array array -> unit
-(** Batched product without a fused statistic: [dsts.(b) ← srcs.(b) · P]
-    for every vector in one traversal of the matrix, each result
-    bit-identical to the corresponding {!spmv} call. *)
 
 val step_tv_multi :
   kernel ->

@@ -1,10 +1,10 @@
 (** Exact analysis of finite Markov chains.
 
-    Builds the transition matrix — stored as blocked CSR, see
-    {!Blocked_csr} — from a state enumeration and a
-    transition-distribution function, then computes the stationary
-    distribution, total-variation distances and the {e exact} mixing
-    time
+    A chain is a state enumeration plus its transition matrix, stored
+    as blocked CSR (see {!Blocked_csr}); {!Exact_builder.build} is the
+    one way to make one from a transition-distribution function.  This
+    module computes the stationary distribution, total-variation
+    distances and the {e exact} mixing time
 
     {v τ(ε) = min { T : ∀t ≥ T, max_x ‖L(M_t | M_0 = x) − π‖ ≤ ε } v}
 
@@ -17,30 +17,13 @@
     products themselves can run block-parallel over a {!Parallel.Pool}
     (used automatically by {!mixing_time} when few starts are searched).
     Long solves checkpoint through {!Exact_checkpoint} sinks and resume
-    to bit-identical answers.  Practical well beyond the dense
-    implementation (kept in {!Dense} as the benchmark and testing
-    reference), though still only for enumerable state spaces.
+    to bit-identical answers.  Only enumerable state spaces are in
+    reach.
 
-    A chain value carries internal caches (flat CSR and dense views,
-    stationary distribution) and must not be shared across domains while
-    these functions run on it. *)
+    A chain value caches its stationary distribution and must not be
+    shared across domains while these functions run on it. *)
 
 type 'state t
-
-val build :
-  states:'state array ->
-  transitions:('state -> ('state * float) list) ->
-  'state t
-(** [build ~states ~transitions] constructs the chain.  [states] must
-    enumerate each state exactly once; [transitions s] must list
-    successor states (all members of [states], compared structurally)
-    with probabilities summing to 1; duplicate successors are merged.
-    Rows stream into a {!Blocked_csr} store with the default shard
-    shape; {!Exact_builder.build} exposes the block size and disk-spill
-    controls.
-    @raise Invalid_argument if a state appears twice in [states], if a
-    successor is unknown, or if a row's total deviates from 1 by more
-    than 1e-9. *)
 
 val of_blocked :
   states:'state array ->
@@ -48,30 +31,24 @@ val of_blocked :
   Blocked_csr.t ->
   'state t
 (** Wrap an already-validated transition matrix — the entry point
-    {!Exact_builder} uses after streaming a BFS discovery straight into
-    a {!Blocked_csr.builder}.  [find] must map exactly the members of
+    {!Exact_builder} uses after streaming rows straight into a
+    {!Blocked_csr.builder}.  [find] must map exactly the members of
     [states] to their indices.
     @raise Invalid_argument if the matrix is not |states| × |states|. *)
 
 val validate_row :
   find:('state -> int option) -> ('state * float) list -> (int * float) list
-(** Resolve and check one transition row (the {!build} invariants:
-    known successors, no negative mass, total within 1e-9 of 1),
-    returning index/probability pairs.  Exposed for streaming builders.
-    @raise Invalid_argument as {!build}. *)
+(** Resolve and check one transition row — known successors, no
+    negative mass, total within 1e-9 of 1 — returning index/probability
+    pairs.  Exposed for {!Exact_builder}'s streaming build.
+    @raise Invalid_argument ["Exact.build: negative probability"],
+    ["Exact.build: successor outside state space"] or
+    ["Exact.build: row does not sum to 1"]. *)
 
 val size : _ t -> int
 
 val blocked : _ t -> Blocked_csr.t
 (** The transition matrix in its native blocked-CSR representation. *)
-
-val sparse : _ t -> Sparse.t
-(** Flat-CSR view of the transition matrix, converted on first use and
-    cached. *)
-
-val matrix : _ t -> Matrix.t
-(** Dense view of the transition matrix, converted on first use and
-    cached.  Callers must not mutate it. *)
 
 val states : 'state t -> 'state array
 (** The state enumeration, in index order (a copy). *)
@@ -110,12 +87,6 @@ val distribution_after : 'state t -> start:int -> int -> float array
 (** [distribution_after c ~start t] is the law of the chain after [t]
     steps from state index [start], by [t] sparse vector·matrix
     products. *)
-
-val worst_tv_after : ?domains:int -> 'state t -> pi:float array -> int -> float
-(** [worst_tv_after c ~pi t] is [max_x ‖P^t(x,·) − pi‖], the distance
-    appearing in the mixing-time definition.  The per-start sweep fans
-    out over [domains]; the result does not depend on the domain
-    count. *)
 
 val stationary_expectation :
   'state t -> ?pi:float array -> f:('state -> float) -> unit -> float
@@ -184,18 +155,3 @@ val mixing_time :
     @raise Failure if not mixed within [max_t].
     @raise Invalid_argument if [domains < 1], or [starts] is empty or
     out of range. *)
-
-(** Historical dense implementations — quadratic storage, full dense
-    [P^t] per time step, stationary distribution recomputed per call.
-    Kept as the reference that the sparse paths are property-tested for
-    agreement with and benchmarked against (see [bench/micro.ml]). *)
-module Dense : sig
-  val stationary : ?tol:float -> ?max_iter:int -> 'state t -> float array
-  (** Power iteration on the dense view with the historical
-      successive-iterate stopping rule.
-      @raise Failure if the iteration does not converge. *)
-
-  val mixing_time : ?eps:float -> ?max_t:int -> 'state t -> int
-  (** Step-by-step scan over dense powers [P^t].
-      @raise Failure if not mixed within [max_t]. *)
-end

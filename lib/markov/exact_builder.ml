@@ -5,14 +5,13 @@ type 'state source =
 let enumerated states = Enumerated states
 let reachable ~root = Reachable root
 
+(* The caller's key pair, completed with the structural one. *)
+let keys ?hash ?equal () =
+  let sh, se = State_index.structural () in
+  (Option.value hash ~default:sh, Option.value equal ~default:se)
+
 let reachable_states ?hash ?equal ~root ~transitions () =
-  let hash, equal =
-    match (hash, equal) with
-    | Some h, Some e -> (h, e)
-    | None, None -> State_index.structural ()
-    | Some h, None -> (h, snd (State_index.structural ()))
-    | None, Some e -> (fst (State_index.structural ()), e)
-  in
+  let hash, equal = keys ?hash ?equal () in
   let index = State_index.create ~hash ~equal 64 in
   ignore (State_index.add index root);
   (* BFS without an explicit queue: ids are assigned in discovery order,
@@ -26,11 +25,6 @@ let reachable_states ?hash ?equal ~root ~transitions () =
   done;
   State_index.to_array index
 
-let states_of ?hash ?equal source ~transitions =
-  match source with
-  | Enumerated states -> states
-  | Reachable root -> reachable_states ?hash ?equal ~root ~transitions ()
-
 (* Streaming build: the state index grows as rows are emitted.
 
    For an enumerated space the index is fully populated up front (also
@@ -43,13 +37,7 @@ let states_of ?hash ?equal source ~transitions =
    inside the {!Blocked_csr} store — with [~spill], never all at once in
    memory. *)
 let build ?block_rows ?spill ?hash ?equal source ~transitions =
-  let hash, equal =
-    match (hash, equal) with
-    | Some h, Some e -> (h, e)
-    | None, None -> State_index.structural ()
-    | Some h, None -> (h, snd (State_index.structural ()))
-    | None, Some e -> (fst (State_index.structural ()), e)
-  in
+  let hash, equal = keys ?hash ?equal () in
   let index = State_index.create ~hash ~equal 64 in
   let b = Blocked_csr.builder ?block_rows ?spill () in
   (match source with
@@ -69,22 +57,12 @@ let build ?block_rows ?spill ?hash ?equal source ~transitions =
   | Reachable root ->
       ignore (State_index.add index root);
       (* The row for state [i] may intern new successors; interning and
-         row emission advance together. *)
+         row emission advance together, so every successor is "found". *)
+      let find s = Some (State_index.add index s) in
       let cursor = ref 0 in
       while !cursor < State_index.size index do
-        let s = State_index.get index !cursor in
-        let row = transitions s in
-        let entries =
-          List.map
-            (fun (s', p) ->
-              if p < 0. then invalid_arg "Exact.build: negative probability";
-              (State_index.add index s', p))
-            row
-        in
-        let total = List.fold_left (fun acc (_, p) -> acc +. p) 0. entries in
-        if Float.abs (total -. 1.) > 1e-9 then
-          invalid_arg "Exact.build: row does not sum to 1";
-        Blocked_csr.add_row b entries;
+        let row = transitions (State_index.get index !cursor) in
+        Blocked_csr.add_row b (Exact.validate_row ~find row);
         incr cursor
       done);
   let n = State_index.size index in

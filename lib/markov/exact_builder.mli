@@ -37,14 +37,6 @@ val reachable_states :
     are interned through a {!State_index} keyed by [hash]/[equal]
     (default: structural). *)
 
-val states_of :
-  ?hash:('state -> int) ->
-  ?equal:('state -> 'state -> bool) ->
-  'state source ->
-  transitions:('state -> ('state * float) list) ->
-  'state array
-(** The state array a source denotes (runs the BFS for {!reachable}). *)
-
 val build :
   ?block_rows:int ->
   ?spill:string ->
@@ -55,8 +47,11 @@ val build :
   'state Exact.t
 (** Resolve the source and build the chain, streaming rows into a
     {!Blocked_csr} store ([block_rows] rows per shard, default 4096;
-    [spill] pages completed shards to a disk block file).
-    @raise Invalid_argument as {!Exact.build}. *)
+    [spill] pages completed shards to a disk block file).  Duplicate
+    successors in a row are merged.
+    @raise Invalid_argument ["Exact.build: empty state space"] or
+    ["Exact.build: duplicate state"] for a bad enumeration, and as
+    {!Exact.validate_row} for a bad row. *)
 
 type 'state analysis = {
   chain : 'state Exact.t;
@@ -84,6 +79,6 @@ val build_mix :
     {!Exact.mixing_time}).  [starts] restricts the mixing search to the
     given states (members of the space); [checkpoint] makes the mixing
     phase resumable through the sink, as {!Exact.mixing_time}.
-    @raise Invalid_argument as {!Exact.build}, or if a designated start
-    is outside the space.
+    @raise Invalid_argument as {!build}, or if a designated start is
+    outside the space.
     @raise Failure as {!Exact.mixing_time}. *)

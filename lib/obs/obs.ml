@@ -37,6 +37,7 @@ module Hist = struct
     buckets : int Atomic.t array;
     count : int Atomic.t;
     sum : int Atomic.t;
+    min : int Atomic.t;
     max : int Atomic.t;
   }
 
@@ -45,6 +46,7 @@ module Hist = struct
       buckets = Array.init bucket_count (fun _ -> Atomic.make 0);
       count = Atomic.make 0;
       sum = Atomic.make 0;
+      min = Atomic.make max_int;
       max = Atomic.make min_int;
     }
 
@@ -64,15 +66,21 @@ module Hist = struct
     let cur = Atomic.get cell in
     if v > cur && not (Atomic.compare_and_set cell cur v) then raise_max cell v
 
+  let rec lower_min cell v =
+    let cur = Atomic.get cell in
+    if v < cur && not (Atomic.compare_and_set cell cur v) then lower_min cell v
+
   let observe h v =
     ignore (Atomic.fetch_and_add h.buckets.(bucket_of v) 1);
     ignore (Atomic.fetch_and_add h.count 1);
     ignore (Atomic.fetch_and_add h.sum v);
+    lower_min h.min v;
     raise_max h.max v
 
   type snapshot = {
     count : int;
     sum : int;
+    min : int;  (** [max_int] when empty. *)
     max : int;  (** [min_int] when empty. *)
     buckets : (int * int * int) list;
         (** Non-empty buckets as (lo, hi, count), in value order. *)
@@ -91,6 +99,7 @@ module Hist = struct
     {
       count = Atomic.get h.count;
       sum = Atomic.get h.sum;
+      min = Atomic.get h.min;
       max = Atomic.get h.max;
       buckets = !buckets;
     }
@@ -99,16 +108,18 @@ module Hist = struct
     Array.iter (fun c -> Atomic.set c 0) h.buckets;
     Atomic.set h.count 0;
     Atomic.set h.sum 0;
+    Atomic.set h.min max_int;
     Atomic.set h.max min_int
 
   let mean (s : snapshot) =
     if s.count = 0 then nan else float_of_int s.sum /. float_of_int s.count
 
-  let empty : snapshot = { count = 0; sum = 0; max = min_int; buckets = [] }
+  let empty : snapshot =
+    { count = 0; sum = 0; min = max_int; max = min_int; buckets = [] }
 
   (* Buckets are keyed by their lower bound: two snapshots' bucket lists
      are aligned like a sorted merge, so merging is associative and
-     commutative cell-by-cell (integer sums and max), which the qcheck
+     commutative cell-by-cell (integer sums, min and max), which the qcheck
      properties pin down. *)
   let merge (a : snapshot) (b : snapshot) : snapshot =
     let rec go xs ys =
@@ -122,6 +133,7 @@ module Hist = struct
     {
       count = a.count + b.count;
       sum = a.sum + b.sum;
+      min = Stdlib.min a.min b.min;
       max = Stdlib.max a.max b.max;
       buckets = go a.buckets b.buckets;
     }
@@ -130,9 +142,12 @@ module Hist = struct
      holding rank [q * count] and place the estimate proportionally
      inside its [lo, hi] range.  The last bucket's upper edge is pulled
      in to the recorded max (the true largest observation lives there),
-     so p999 never exceeds an observed value.  The estimate is exact to
-     within the width of the bucket containing the true order statistic
-     — the resolution contract of a log-bucketed histogram. *)
+     and every estimate is clamped to the recorded [min, max], so no
+     quantile leaves the observed range (a stream constantly at 500
+     reports 500, not 378 from inside its [256, 511] bucket).  The
+     estimate is exact to within the width of the bucket containing the
+     true order statistic — the resolution contract of a log-bucketed
+     histogram — and clamping cannot move it out of that bucket. *)
   let quantile (s : snapshot) q =
     if s.count = 0 then nan
     else begin
@@ -153,7 +168,8 @@ module Hist = struct
             if remaining <= fc then interpolate lo hi c remaining
             else go (remaining -. fc) rest
       in
-      go (q *. float_of_int s.count) s.buckets
+      let est = go (q *. float_of_int s.count) s.buckets in
+      Float.min (float_of_int s.max) (Float.max (float_of_int s.min) est)
     end
 
   let percentiles (s : snapshot) =

@@ -65,6 +65,7 @@ module Hist : sig
   type snapshot = {
     count : int;
     sum : int;
+    min : int;  (** [max_int] when empty. *)
     max : int;  (** [min_int] when empty. *)
     buckets : (int * int * int) list;
         (** Non-empty buckets as [(lo, hi, count)], in value order. *)
@@ -89,7 +90,8 @@ module Hist : sig
   (** [quantile s q] estimates the [q]-quantile ([q] clamped to
       [0..1]) by linear interpolation within the bucket holding rank
       [q * count]; the top bucket's edge is pulled in to the recorded
-      max.  Monotone in [q]; exact to within the width of the bucket
+      max, and the result is clamped to the recorded [[min, max]].
+      Monotone in [q]; exact to within the width of the bucket
       containing the true order statistic; [nan] when empty. *)
 
   val percentiles : snapshot -> (string * float) list

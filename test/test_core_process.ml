@@ -229,9 +229,13 @@ let test_exact_matches_simulation () =
 let test_exact_chain_is_stochastic () =
   let p = Dp.make Core.Scenario.A (Sr.abku 2) ~n:3 in
   let states = Markov.Partition_space.enumerate ~n:3 ~m:4 in
-  let chain = Markov.Exact.build ~states ~transitions:(Dp.exact_transitions p) in
+  let chain =
+    Markov.Exact_builder.build
+      (Markov.Exact_builder.enumerated states)
+      ~transitions:(Dp.exact_transitions p)
+  in
   Alcotest.(check bool) "stochastic" true
-    (Markov.Matrix.is_stochastic (Markov.Exact.matrix chain))
+    (Markov.Blocked_csr.is_stochastic (Markov.Exact.blocked chain))
 
 (* Lemma 3.3: shared-probe insertion never increases the L1 distance. *)
 let qcheck_lemma_3_3 =

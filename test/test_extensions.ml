@@ -134,9 +134,11 @@ let test_decay_profile_shape () =
 (* ---- Exact decay profile and relaxation ---- *)
 
 let two_state p q =
-  Markov.Exact.build ~states:[| "x"; "y" |] ~transitions:(function
-    | "x" -> [ ("x", 1. -. p); ("y", p) ]
-    | _ -> [ ("x", q); ("y", 1. -. q) ])
+  Markov.Exact_builder.build
+    (Markov.Exact_builder.enumerated [| "x"; "y" |])
+    ~transitions:(function
+      | "x" -> [ ("x", 1. -. p); ("y", p) ]
+      | _ -> [ ("x", q); ("y", 1. -. q) ])
 
 let test_worst_tv_profile_monotone () =
   let c = two_state 0.2 0.3 in
@@ -165,7 +167,8 @@ let test_relaxation_consistent_with_mixing () =
   let process = Core.Dynamic_process.make Core.Scenario.A (Sr.abku 2) ~n:5 in
   let states = Markov.Partition_space.enumerate ~n:5 ~m:5 in
   let chain =
-    Markov.Exact.build ~states
+    Markov.Exact_builder.build
+      (Markov.Exact_builder.enumerated states)
       ~transitions:(Core.Dynamic_process.exact_transitions process)
   in
   let tau = Markov.Exact.mixing_time ~eps:0.25 chain in
@@ -179,7 +182,8 @@ let test_profile_crossing_equals_mixing_time () =
   let process = Core.Dynamic_process.make Core.Scenario.B (Sr.abku 2) ~n:5 in
   let states = Markov.Partition_space.enumerate ~n:5 ~m:5 in
   let chain =
-    Markov.Exact.build ~states
+    Markov.Exact_builder.build
+      (Markov.Exact_builder.enumerated states)
       ~transitions:(Core.Dynamic_process.exact_transitions process)
   in
   List.iter
@@ -221,7 +225,8 @@ let test_exact_stationary_max_load_close_to_fluid () =
   let process = Core.Dynamic_process.make Core.Scenario.A (Sr.abku 2) ~n in
   let states = Markov.Partition_space.enumerate ~n ~m:n in
   let chain =
-    Markov.Exact.build ~states
+    Markov.Exact_builder.build
+      (Markov.Exact_builder.enumerated states)
       ~transitions:(Core.Dynamic_process.exact_transitions process)
   in
   let exact =

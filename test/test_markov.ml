@@ -1,6 +1,6 @@
 (* Tests for matrices, chains, partition spaces and exact analysis. *)
 
-module M = Markov.Matrix
+module M = Dense_oracle.Matrix
 module Lv = Loadvec.Load_vector
 
 let feq ?(tol = 1e-9) a b = Float.abs (a -. b) <= tol
@@ -129,10 +129,18 @@ let test_partition_index () =
 
 (* A two-state chain with known stationary distribution and mixing rate:
    P = [[1-p, p], [q, 1-q]], pi = (q, p)/(p+q). *)
+let build states ~transitions =
+  Markov.Exact_builder.build (Markov.Exact_builder.enumerated states)
+    ~transitions
+
+let two_state_states = [| "x"; "y" |]
+
+let two_state_transitions p q = function
+  | "x" -> [ ("x", 1. -. p); ("y", p) ]
+  | _ -> [ ("x", q); ("y", 1. -. q) ]
+
 let two_state p q =
-  Markov.Exact.build ~states:[| "x"; "y" |] ~transitions:(function
-    | "x" -> [ ("x", 1. -. p); ("y", p) ]
-    | _ -> [ ("x", q); ("y", 1. -. q) ])
+  build two_state_states ~transitions:(two_state_transitions p q)
 
 let test_exact_stationary_two_state () =
   let c = two_state 0.3 0.1 in
@@ -173,75 +181,59 @@ let test_exact_build_invalid () =
   Alcotest.check_raises "bad row" (Invalid_argument "Exact.build: row does not sum to 1")
     (fun () ->
       ignore
-        (Markov.Exact.build ~states:[| 0 |] ~transitions:(fun _ -> [ (0, 0.5) ])));
+        (build [| 0 |] ~transitions:(fun _ -> [ (0, 0.5) ])));
   Alcotest.check_raises "unknown successor"
     (Invalid_argument "Exact.build: successor outside state space") (fun () ->
       ignore
-        (Markov.Exact.build ~states:[| 0 |] ~transitions:(fun _ -> [ (1, 1.) ])))
+        (build [| 0 |] ~transitions:(fun _ -> [ (1, 1.) ])));
+  Alcotest.check_raises "negative mass"
+    (Invalid_argument "Exact.build: negative probability") (fun () ->
+      ignore
+        (Markov.Exact_builder.build
+           (Markov.Exact_builder.reachable ~root:0)
+           ~transitions:(fun _ -> [ (0, 1.5); (1, -0.5) ])))
 
 let test_exact_build_merges_duplicates () =
   let c =
-    Markov.Exact.build ~states:[| 0; 1 |] ~transitions:(function
+    build [| 0; 1 |] ~transitions:(function
       | 0 -> [ (1, 0.5); (1, 0.5) ]
       | _ -> [ (0, 1.) ])
   in
-  Alcotest.(check (float 1e-12)) "merged" 1. (M.get (Markov.Exact.matrix c) 0 1)
+  Alcotest.(check int) "one entry per row" 2
+    (Markov.Blocked_csr.nnz (Markov.Exact.blocked c));
+  Alcotest.(check (float 1e-12)) "merged" 1.
+    (M.get (Dense_oracle.of_blocked (Markov.Exact.blocked c)) 0 1)
 
-module S = Markov.Sparse
-
-let test_sparse_construction () =
+let test_blocked_row_normalization () =
   (* Rows given out of order with duplicate coordinates and an explicit
-     zero: construction sorts, merges and drops. *)
-  let s =
-    S.of_rows ~rows:3 ~cols:3 (function
-      | 0 -> [ (2, 0.25); (0, 0.5); (2, 0.25); (1, 0.) ]
-      | _ -> [ (1, 1.) ])
-  in
-  Alcotest.(check int) "nnz" 4 (S.nnz s);
-  Alcotest.(check int) "rows" 3 (S.rows s);
-  Alcotest.(check int) "cols" 3 (S.cols s);
-  let seen = ref [] in
-  S.row_iter s 0 ~f:(fun j v -> seen := (j, v) :: !seen);
-  Alcotest.(check bool) "row 0 sorted and merged" true
-    (List.rev !seen = [ (0, 0.5); (2, 0.5) ]);
+     zero: the builder sorts, merges and drops. *)
+  let bld = Markov.Blocked_csr.builder () in
+  Markov.Blocked_csr.add_row bld [ (2, 0.25); (0, 0.5); (2, 0.25); (1, 0.) ];
+  Markov.Blocked_csr.add_row bld [ (1, 1.) ];
+  Markov.Blocked_csr.add_row bld [ (1, 1.) ];
+  let b = Markov.Blocked_csr.finish bld ~cols:3 in
+  Alcotest.(check int) "nnz" 4 (Markov.Blocked_csr.nnz b);
+  Alcotest.(check int) "rows" 3 (Markov.Blocked_csr.rows b);
+  Alcotest.(check int) "cols" 3 (Markov.Blocked_csr.cols b);
+  Alcotest.(check (array (float 0.))) "row 0 merged" [| 0.5; 0.; 0.5 |]
+    (M.row (Dense_oracle.of_blocked b) 0);
   Alcotest.(check bool) "row sums" true
-    (Array.for_all (fun x -> feq x 1.) (S.row_sums s));
-  Alcotest.(check bool) "stochastic" true (S.is_stochastic s);
-  let t =
-    S.of_triplets ~rows:2 ~cols:3 [ (0, 0, 0.25); (1, 1, 1.); (0, 0, 0.25); (0, 2, 0.5) ]
-  in
-  Alcotest.(check int) "triplets merge duplicates" 3 (S.nnz t);
+    (Array.for_all (fun x -> feq x 1.) (Markov.Blocked_csr.row_sums b));
+  Alcotest.(check bool) "stochastic" true (Markov.Blocked_csr.is_stochastic b);
+  let bld = Markov.Blocked_csr.builder () in
+  Markov.Blocked_csr.add_row bld [ (0, 0.25); (0, 0.25); (2, 0.5) ];
+  Markov.Blocked_csr.add_row bld [ (1, 1.) ];
+  let t = Markov.Blocked_csr.finish bld ~cols:3 in
+  Alcotest.(check int) "duplicates merge" 3 (Markov.Blocked_csr.nnz t);
   Alcotest.(check bool) "rectangular is not stochastic" true
-    (not (S.is_stochastic t))
-
-let test_sparse_dense_roundtrip () =
-  let m = M.create ~rows:3 ~cols:3 in
-  M.set m 0 0 0.5;
-  M.set m 0 2 0.5;
-  M.set m 1 1 1.;
-  M.set m 2 0 0.25;
-  M.set m 2 1 0.75;
-  let s = S.of_dense m in
-  Alcotest.(check int) "nnz of dense" 5 (S.nnz s);
-  Alcotest.(check (float 1e-15)) "roundtrip exact" 0.
-    (M.max_abs_diff (S.to_dense s) m);
-  (* spmv agrees with the dense product, including a zero input entry
-     (whose row is skipped). *)
-  let v = [| 0.2; 0.; 0.8 |] in
-  let sparse_out = S.spmv v s in
-  let dense_out = M.vec_mul v m in
-  Alcotest.(check bool) "spmv = vec_mul" true
-    (Array.for_all2 (fun a b -> feq ~tol:1e-15 a b) sparse_out dense_out);
-  let dst = Array.make 3 9. in
-  S.spmv_into s ~src:v ~dst;
-  Alcotest.(check bool) "spmv_into overwrites" true
-    (Array.for_all2 (fun a b -> a = b) dst sparse_out)
+    (not (Markov.Blocked_csr.is_stochastic t))
 
 (* Satellite regression: the historical stopping rule "successive
    iterates are close" stops far from pi on a slowly-mixing chain.  For
    P = [[1-p, p], [q, 1-q]] with p = 0.004, q = 0.001, pi = (0.2, 0.8)
    but the iterate drifts from (0.5, 0.5) by at most ~(p+q)/2 per step,
-   so at tol = 1e-3 the old rule (kept in Dense) stops near (0.4, 0.6).
+   so at tol = 1e-3 the old rule (kept in the dense oracle) stops near
+   (0.4, 0.6).
    The gap-corrected residual rule must keep iterating until the true
    error is ~tol. *)
 let test_exact_stationary_near_reducible () =
@@ -252,10 +244,17 @@ let test_exact_stationary_near_reducible () =
     true
     (Float.abs (pi.(0) -. 0.2) <= 1e-2);
   (* The true residual is below tol as well. *)
-  let pi_step = Markov.Sparse.spmv pi (Markov.Exact.sparse c) in
+  let pi_step = Array.make 2 0. in
+  Markov.Blocked_csr.spmv
+    (Markov.Blocked_csr.kernel (Markov.Exact.blocked c))
+    ~src:pi ~dst:pi_step;
   Alcotest.(check bool) "residual |piP - pi| <= tol" true
     (Markov.Exact.tv_distance pi pi_step *. 2. <= 1e-3);
-  let old = Markov.Exact.Dense.stationary ~tol:1e-3 c in
+  let old =
+    Dense_oracle.stationary ~tol:1e-3
+      (Dense_oracle.of_chain ~states:two_state_states
+         ~transitions:(two_state_transitions 0.004 0.001))
+  in
   Alcotest.(check bool)
     (Printf.sprintf "historical rule stops early (pi0 %.4f)" old.(0))
     true
@@ -276,9 +275,12 @@ let test_exact_accessors () =
   let c = two_state 0.3 0.1 in
   let sts = Markov.Exact.states c in
   Alcotest.(check (array string)) "states in index order" [| "x"; "y" |] sts;
-  Alcotest.(check int) "sparse nnz" 4 (S.nnz (Markov.Exact.sparse c));
-  Alcotest.(check (float 1e-15)) "dense view = to_dense sparse" 0.
-    (M.max_abs_diff (Markov.Exact.matrix c) (S.to_dense (Markov.Exact.sparse c)))
+  Alcotest.(check int) "nnz" 4 (Markov.Blocked_csr.nnz (Markov.Exact.blocked c));
+  Alcotest.(check (float 0.)) "blocked store = dense oracle" 0.
+    (M.max_abs_diff
+       (Dense_oracle.of_blocked (Markov.Exact.blocked c))
+       (Dense_oracle.of_chain ~states:two_state_states
+          ~transitions:(two_state_transitions 0.3 0.1)))
 
 let test_builder_reachable_and_mix () =
   (* A 4-cycle plus an unreachable island: BFS from 0 finds the cycle in
@@ -294,11 +296,8 @@ let test_builder_reachable_and_mix () =
       ~transitions
   in
   Alcotest.(check int) "state count" 4 a.Markov.Exact_builder.state_count;
-  let direct =
-    Markov.Exact.mixing_time ~eps:0.25
-      (Markov.Exact.build ~states ~transitions)
-  in
-  Alcotest.(check int) "tau agrees with direct build" direct
+  let direct = Markov.Exact.mixing_time ~eps:0.25 (build states ~transitions) in
+  Alcotest.(check int) "tau agrees with enumerated build" direct
     a.Markov.Exact_builder.tau;
   Alcotest.(check bool) "timings non-negative" true
     (a.Markov.Exact_builder.build_seconds >= 0.
@@ -336,25 +335,53 @@ let test_state_index_basics () =
 
 (* A deterministic pseudo-random stochastic matrix with irregular row
    fill, for roundtrip checks. *)
-let stochastic_sparse n =
-  S.of_rows ~rows:n ~cols:n (fun i ->
-      let k = 1 + (i mod 4) in
-      let cols = List.init k (fun j -> ((i * 13) + (j * 7) + 1) mod n) in
-      let cols = List.sort_uniq compare cols in
-      let w = 1. /. float_of_int (List.length cols) in
-      List.map (fun j -> (j, w)) cols)
+let stochastic_row n i =
+  let k = 1 + (i mod 4) in
+  let cols = List.init k (fun j -> ((i * 13) + (j * 7) + 1) mod n) in
+  let cols = List.sort_uniq compare cols in
+  let w = 1. /. float_of_int (List.length cols) in
+  List.map (fun j -> (j, w)) cols
 
-let check_same_sparse msg a b =
-  Alcotest.(check int) (msg ^ ": nnz") (S.nnz a) (S.nnz b);
-  Alcotest.(check (float 1e-15)) (msg ^ ": entries") 0.
-    (M.max_abs_diff (S.to_dense a) (S.to_dense b))
+let blocked_of_rows ?spill ~block_rows n row =
+  let bld = B.builder ~block_rows ?spill () in
+  for i = 0 to n - 1 do
+    B.add_row bld (row i)
+  done;
+  B.finish bld ~cols:n
+
+let bits_equal a b =
+  Array.for_all2
+    (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+    a b
+
+(* [b] against [reference]: same nnz and row sums, and bit-identical
+   products for a fixed input. *)
+let check_same_blocked msg reference b =
+  let n = B.rows reference in
+  Alcotest.(check int) (msg ^ ": nnz") (B.nnz reference) (B.nnz b);
+  Alcotest.(check bool) (msg ^ ": row sums") true
+    (bits_equal (B.row_sums reference) (B.row_sums b));
+  let src = Array.init n (fun i -> float_of_int ((i * 5) mod 7) /. 21.) in
+  let spmv m =
+    let dst = Array.make n nan in
+    B.spmv (B.kernel m) ~src ~dst;
+    dst
+  in
+  Alcotest.(check bool) (msg ^ ": spmv bits") true
+    (bits_equal (spmv reference) (spmv b))
 
 let test_blocked_roundtrip () =
   let n = 17 in
-  let s = stochastic_sparse n in
+  let row = stochastic_row n in
+  let one_block = blocked_of_rows ~block_rows:n n row in
+  let dense =
+    Dense_oracle.of_chain ~states:(Array.init n Fun.id) ~transitions:row
+  in
+  Alcotest.(check (float 0.)) "one block = dense oracle" 0.
+    (M.max_abs_diff (Dense_oracle.of_blocked one_block) dense);
   List.iter
     (fun block_rows ->
-      let b = B.of_sparse ~block_rows s in
+      let b = blocked_of_rows ~block_rows n row in
       Alcotest.(check int) "rows" n (B.rows b);
       Alcotest.(check int) "cols" n (B.cols b);
       Alcotest.(check int)
@@ -363,47 +390,31 @@ let test_blocked_roundtrip () =
         (B.block_count b);
       Alcotest.(check bool) "in memory" true (B.in_memory b);
       Alcotest.(check bool) "stochastic" true (B.is_stochastic b);
-      check_same_sparse
-        (Printf.sprintf "roundtrip br=%d" block_rows)
-        s (B.to_sparse b);
-      (* Kernel product agrees with the flat sparse product. *)
-      let src = Array.init n (fun i -> float_of_int ((i * 5) mod 7) /. 21.) in
-      let dst = Array.make n nan in
-      B.spmv (B.kernel b) ~src ~dst;
-      let expect = S.spmv src s in
-      Alcotest.(check bool)
-        (Printf.sprintf "spmv br=%d" block_rows)
-        true
-        (Array.for_all2 (fun a b -> feq ~tol:1e-15 a b) dst expect))
+      check_same_blocked (Printf.sprintf "br=%d" block_rows) one_block b)
     [ 1; 3; n; 2 * n ]
 
 let test_blocked_spill_roundtrip () =
   let n = 11 in
-  let s = stochastic_sparse n in
+  let row = stochastic_row n in
+  let mem = blocked_of_rows ~block_rows:4 n row in
   let path = Filename.temp_file "bcsr" ".blk" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
-      let b = B.of_sparse ~block_rows:4 ~spill:path s in
+      let b = blocked_of_rows ~block_rows:4 ~spill:path n row in
       Alcotest.(check bool) "spilled, not in memory" false (B.in_memory b);
       Alcotest.(check (option string)) "path recorded" (Some path) (B.path b);
-      check_same_sparse "spilled roundtrip" s (B.to_sparse b);
+      check_same_blocked "spilled" mem b;
       (* Fused statistic on the streaming (disk) path. *)
       let pi = Array.make n (1. /. float_of_int n) in
       let src = Array.init n (fun i -> if i = 0 then 1. else 0.) in
-      let dst = Array.make n nan in
-      let tv = B.step_tv (B.kernel b) ~pi ~src ~dst in
-      let expect = S.spmv src s in
-      let tv_expect =
-        0.5 *. Array.fold_left ( +. ) 0.
-          (Array.mapi (fun i x -> Float.abs (x -. pi.(i))) expect)
-      in
-      Alcotest.(check (float 1e-15)) "fused tv on disk path" tv_expect tv;
+      let step_tv m = B.step_tv (B.kernel m) ~pi ~src ~dst:(Array.make n nan) in
+      Alcotest.(check bool) "fused tv on disk path" true
+        (Float.equal (step_tv mem) (step_tv b));
       B.close b;
       (* Reopening the finalized file restores the matrix. *)
       let reopened = B.open_file path in
-      Alcotest.(check int) "reopened nnz" (S.nnz s) (B.nnz reopened);
-      check_same_sparse "reopened roundtrip" s (B.to_sparse reopened);
+      check_same_blocked "reopened" mem reopened;
       B.close reopened)
 
 let test_blocked_multi_bitwise () =
@@ -413,8 +424,7 @@ let test_blocked_multi_bitwise () =
      widths.  This is the contract the batched sweeps in Exact (TV
      profiles, mixing pruning) rely on for their exactness claims. *)
   let n = 37 in
-  let s = stochastic_sparse n in
-  let b = B.of_sparse ~block_rows:5 s in
+  let b = blocked_of_rows ~block_rows:5 n (stochastic_row n) in
   let kern = B.kernel b in
   let pi = Array.init n (fun i -> float_of_int (1 + (i mod 3)) /. 74.) in
   (* Not a distribution; irrelevant — only summation order matters. *)
@@ -486,31 +496,70 @@ let test_blocked_builder_invalid () =
       B.add_row bld [ (3, 1.) ];
       ignore (B.finish bld ~cols:2))
 
-let test_builder_streaming_equals_direct () =
-  (* The streaming Exact_builder path and the classic Exact.build must
-     produce the same chain: same analysis results, same index. *)
-  let states = Array.init 23 (fun i -> i) in
+let test_builds_match_dense_oracle () =
+  (* The enumerated and reachable builds (reachable numbers the states
+     in BFS order) and the dense oracle, built straight from the
+     transition function, must give the same matrix and the same tau. *)
+  let n = 23 in
+  let states = Array.init n Fun.id in
   let transitions i =
-    let n = Array.length states in
     [ ((i + 1) mod n, 0.5); ((i * 2) mod n, 0.25); (i, 0.25) ]
   in
-  let direct = Markov.Exact.build ~states ~transitions in
-  let streamed =
+  let dense = Dense_oracle.of_chain ~states ~transitions in
+  let enumerated =
     Markov.Exact_builder.build ~block_rows:5
       (Markov.Exact_builder.enumerated states)
       ~transitions
   in
-  Alcotest.(check int) "size" (Markov.Exact.size direct)
-    (Markov.Exact.size streamed);
-  Alcotest.(check (float 1e-15)) "same matrix" 0.
-    (M.max_abs_diff (Markov.Exact.matrix direct) (Markov.Exact.matrix streamed));
-  let pi_d = Markov.Exact.stationary direct in
-  let pi_s = Markov.Exact.stationary streamed in
-  Alcotest.(check bool) "same stationary bits" true
-    (Array.for_all2 (fun a b -> Float.equal a b) pi_d pi_s);
-  Alcotest.(check int) "same tau"
-    (Markov.Exact.mixing_time direct)
-    (Markov.Exact.mixing_time streamed)
+  let reachable =
+    Markov.Exact_builder.build ~block_rows:5
+      (Markov.Exact_builder.reachable ~root:0)
+      ~transitions
+  in
+  Alcotest.(check int) "reachable size" n (Markov.Exact.size reachable);
+  Alcotest.(check (float 1e-15)) "enumerated = dense oracle" 0.
+    (M.max_abs_diff
+       (Dense_oracle.of_blocked (Markov.Exact.blocked enumerated))
+       dense);
+  let r = Dense_oracle.of_blocked (Markov.Exact.blocked reachable) in
+  let at = Markov.Exact.index reachable in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      Alcotest.(check (float 1e-15))
+        (Printf.sprintf "reachable P(%d,%d)" i j)
+        (M.get dense i j) (M.get r (at i) (at j))
+    done
+  done;
+  let tau = Dense_oracle.mixing_time dense in
+  Alcotest.(check int) "enumerated tau" tau
+    (Markov.Exact.mixing_time enumerated);
+  Alcotest.(check int) "reachable tau" tau (Markov.Exact.mixing_time reachable)
+
+(* The hard-fail parity the bench micro table used to carry: the dense
+   oracle's step-by-step scan and the blocked doubling-then-bisect search
+   agree on tau(1/4) for ABKU[2] cells, at one and two domains. *)
+let test_dense_oracle_tau_cells () =
+  List.iter
+    (fun (scenario, n) ->
+      let states = Markov.Partition_space.enumerate ~n ~m:n in
+      let transitions =
+        Core.Dynamic_process.exact_transitions
+          (Core.Dynamic_process.make scenario (Core.Scheduling_rule.abku 2) ~n)
+      in
+      let chain = build states ~transitions in
+      let tau =
+        Dense_oracle.mixing_time (Dense_oracle.of_chain ~states ~transitions)
+      in
+      List.iter
+        (fun domains ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s n=%d domains=%d"
+               (match scenario with Core.Scenario.A -> "Id" | B -> "Ib")
+               n domains)
+            tau
+            (Markov.Exact.mixing_time ~domains chain))
+        [ 1; 2 ])
+    [ (Core.Scenario.A, 8); (Core.Scenario.B, 8); (Core.Scenario.B, 12) ]
 
 let test_mixing_starts_subset () =
   let c = two_state 0.2 0.3 in
@@ -632,8 +681,7 @@ let suite =
       ("exact mixing monotone in eps", test_exact_mixing_monotone_eps);
       ("exact build invalid", test_exact_build_invalid);
       ("exact build merges duplicates", test_exact_build_merges_duplicates);
-      ("sparse construction", test_sparse_construction);
-      ("sparse/dense roundtrip + spmv", test_sparse_dense_roundtrip);
+      ("blocked csr row normalization", test_blocked_row_normalization);
       ("stationary near-reducible", test_exact_stationary_near_reducible);
       ("stationary cache", test_exact_stationary_cache);
       ("exact accessors", test_exact_accessors);
@@ -645,7 +693,9 @@ let suite =
       ("blocked multi-vector kernel bitwise", test_blocked_multi_bitwise);
       ("blocked csr killed build rejected", test_blocked_killed_build_rejected);
       ("blocked csr builder invalid", test_blocked_builder_invalid);
-      ("streaming build = direct build", test_builder_streaming_equals_direct);
+      ("builds = dense oracle (matrix, tau)", test_builds_match_dense_oracle);
+      ( "dense oracle tau = exact tau (Id/Ib cells)",
+        test_dense_oracle_tau_cells );
       ("mixing_time starts subset", test_mixing_starts_subset);
       ("checkpoint file roundtrip", test_checkpoint_file_roundtrip);
       ("checkpoint sink throttle", test_checkpoint_sink_throttle);

@@ -82,9 +82,16 @@ let test_hist_quantiles () =
   Alcotest.(check (float 1e-9)) "q clamps above 1" 100.
     (Obs.Hist.quantile s 2.);
   let one = snapshot_of [ 7 ] in
-  Alcotest.(check bool) "single observation stays in its bucket" true
-    (let q = Obs.Hist.quantile one 0.5 in
-     q >= 4. && q <= 7.)
+  Alcotest.(check (float 0.)) "single observation is every quantile" 7.
+    (Obs.Hist.quantile one 0.5);
+  (* Regression: a constant stream used to interpolate p50 inside its
+     [256, 511] bucket to 378, below every observed value. *)
+  let constant = snapshot_of (List.init 1000 (fun _ -> 500)) in
+  Alcotest.(check int) "min recorded" 500 constant.Obs.Hist.min;
+  List.iter
+    (fun (name, q) ->
+      Alcotest.(check (float 0.)) (name ^ " of a constant stream") 500. q)
+    (Obs.Hist.percentiles constant)
 
 let values_gen = QCheck.(list_of_size (Gen.int_range 0 60) (int_range 0 5000))
 

@@ -83,11 +83,15 @@ let test_pool_runs_all_slices () =
   Parallel.Pool.with_pool ~domains:4 (fun pool ->
       Alcotest.(check int) "size" 4 (Parallel.Pool.size pool);
       let hits = Array.make 4 0 in
+      (* Workers only record; Alcotest is not domain-safe, so every
+         check runs on the main domain after [run] returns. *)
+      let sizes = Array.make 4 0 in
       (* Reuse across jobs: the same workers serve every run. *)
       for _ = 1 to 5 do
         Parallel.Pool.run pool (fun w size ->
-            Alcotest.(check int) "slice size" 4 size;
-            hits.(w) <- hits.(w) + 1)
+            sizes.(w) <- size;
+            hits.(w) <- hits.(w) + 1);
+        Array.iter (Alcotest.(check int) "slice size" 4) sizes
       done;
       Alcotest.(check (array int)) "every slice ran every job"
         [| 5; 5; 5; 5 |] hits)
