@@ -31,7 +31,16 @@ let make_tests () =
   in
   let orientation = Edgeorient.Orientation.create ~n in
   let class_state = ref (Edgeorient.Class_chain.start ~n:128) in
+  let rng_draw bound =
+    Test.make ~name:(Printf.sprintf "rng draw Rng.int %d" bound)
+      (Staged.stage (fun () ->
+           ignore (Sys.opaque_identity (Prng.Rng.int g bound))))
+  in
   [
+    (* One counted generator word: a masked draw, and a bound that
+       takes the rejection path (almost never rejecting). *)
+    rng_draw 1024;
+    rng_draw 1000;
     Test.make ~name:"system step Id-ABKU[2] (n=1024)"
       (Staged.stage (fun () -> Core.System.step g sys_a));
     Test.make ~name:"system step Ib-ABKU[2] (n=1024)"

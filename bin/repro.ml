@@ -959,8 +959,8 @@ let load_cmd =
 
 let parse_query_op s =
   match String.split_on_char ':' s with
-  | [ ("probe" | "watermark" | "occupancy" | "metrics" | "ping" | "step"
-      | "round" | "remove") as op ] ->
+  | [ ("probe" | "watermark" | "occupancy" | "ping" | "step" | "round"
+      | "remove") as op ] ->
       Ok (Printf.sprintf "{\"op\":%S}" op)
   | [ "insert"; key ] -> (
       match int_of_string_opt key with
@@ -991,7 +991,7 @@ let query_cmd =
     Arg.(value & pos_all string []
          & info [] ~docv:"OP"
              ~doc:"Ops to send in order: probe, watermark, occupancy, \
-                   metrics, ping, step, remove, insert:<key> (default: probe \
+                   ping, step, round, remove, insert:<key> (default: probe \
                    watermark).")
   in
   Cmd.v

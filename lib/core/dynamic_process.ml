@@ -96,17 +96,10 @@ let chain t =
       step_in_place t g v;
       Mv.to_load_vector v)
 
-(* One removal variate plus one draw per insertion probe. *)
 let sim ?metrics t v =
   if Mv.dim v <> t.n then invalid_arg "Dynamic_process.sim: dimension mismatch";
-  let metrics =
-    match metrics with Some m -> m | None -> Engine.Metrics.create ()
-  in
-  Engine.Sim.make ~metrics
-    ~step:(fun g ->
-      let probes = step_probes t g v in
-      Engine.Metrics.add_probes metrics probes;
-      Engine.Metrics.add_draws metrics (1 + probes))
+  Engine.Sim.make ?metrics
+    ~step:(fun g -> step_probes t g v)
     ~observe:(fun () -> Mv.to_load_vector v)
     ~reset:(fun lv -> Mv.set_from_load_vector v lv)
     ~probe:(fun () -> Mv.max_load v)
@@ -117,14 +110,8 @@ let sim ?metrics t v =
 let sim_counts ?metrics t cv =
   if Cv.dim cv <> t.n then
     invalid_arg "Dynamic_process.sim: dimension mismatch";
-  let metrics =
-    match metrics with Some m -> m | None -> Engine.Metrics.create ()
-  in
-  Engine.Sim.make ~metrics
-    ~step:(fun g ->
-      let probes = step_counts_probes t g cv in
-      Engine.Metrics.add_probes metrics probes;
-      Engine.Metrics.add_draws metrics (1 + probes))
+  Engine.Sim.make ?metrics
+    ~step:(fun g -> step_counts_probes t g cv)
     ~observe:(fun () -> Cv.to_load_vector cv)
     ~reset:(fun lv -> Cv.set_from_load_vector cv lv)
     ~probe:(fun () -> Cv.max_load cv)
@@ -132,9 +119,8 @@ let sim_counts ?metrics t cv =
 
 (* Cutoff-table backend (ABKU only): the removal draw is unchanged, the
    d probe draws collapse into one float through the incrementally
-   maintained CDF table.  Probes are still accounted as d — that is the
-   law being simulated — while the draw counter records the real
-   consumption (two floats per step). *)
+   maintained CDF table.  Probes are still reported as d — that is the
+   law being simulated. *)
 let sim_counts_sampled ?metrics t cv ~d =
   if Cv.dim cv <> t.n then
     invalid_arg "Dynamic_process.sim: dimension mismatch";
@@ -143,10 +129,7 @@ let sim_counts_sampled ?metrics t cv ~d =
     Tbl.create ~d ~n:t.n ~max_level:(Cv.max_load cv) ~count:(Cv.count cv)
   in
   let table = ref (rebuild ()) in
-  let metrics =
-    match metrics with Some m -> m | None -> Engine.Metrics.create ()
-  in
-  Engine.Sim.make ~metrics
+  Engine.Sim.make ?metrics
     ~step:(fun g ->
       let u = Prng.Rng.float g in
       let level = Scenario.remove_level t.scenario cv ~u in
@@ -155,8 +138,7 @@ let sim_counts_sampled ?metrics t cv ~d =
       let dest = Tbl.draw_level !table g in
       Cv.shift_up cv dest;
       Tbl.on_gain !table (dest + 1);
-      Engine.Metrics.add_probes metrics d;
-      Engine.Metrics.add_draws metrics 2)
+      d)
     ~observe:(fun () -> Cv.to_load_vector cv)
     ~reset:(fun lv ->
       Cv.set_from_load_vector cv lv;

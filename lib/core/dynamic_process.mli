@@ -59,7 +59,8 @@ val sim :
   Loadvec.Load_vector.t Engine.Sim.t
 (** Zero-allocation stepper on the given state buffer (adopted and
     mutated; the caller may keep it for cheap reads).  The probe is the
-    maximum load; probes and RNG draws are counted per step.
+    maximum load; each step reports its insertion probes to
+    {!Engine.Sim}, which counts the step and its RNG draws.
     @raise Invalid_argument on a dimension mismatch. *)
 
 val sim_repr :
@@ -81,8 +82,8 @@ val sim_repr :
       back to [Count_backed].
 
     The probe metric always records the law's probe count; the draw
-    metric records actual RNG consumption (2 per step for the sampled
-    backend, [1 + probes] otherwise).
+    metric is the generator's own count of the words consumed
+    ({!Prng.Rng.draws}).
     @raise Invalid_argument on a dimension mismatch. *)
 
 val exact_transitions :

@@ -35,17 +35,13 @@ let dynamic_step t scenario g bins =
   | Scenario.B -> ignore (Bins.remove_from_random_nonempty g bins));
   ignore (insert t g bins)
 
-(* One removal variate plus one probe per group. *)
+(* One probe per group. *)
 let sim ?metrics t scenario bins =
   if Bins.n bins <> t.n then invalid_arg "Go_left.sim: size mismatch";
-  let metrics =
-    match metrics with Some m -> m | None -> Engine.Metrics.create ()
-  in
-  Engine.Sim.make ~metrics
+  Engine.Sim.make ?metrics
     ~step:(fun g ->
       dynamic_step t scenario g bins;
-      Engine.Metrics.add_probes metrics t.d;
-      Engine.Metrics.add_draws metrics (1 + t.d))
+      t.d)
     ~observe:(fun () -> Bins.loads bins)
     ~reset:(fun loads -> Bins.reset_loads bins loads)
     ~probe:(fun () -> Bins.max_load bins)

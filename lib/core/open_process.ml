@@ -57,21 +57,15 @@ let step_normalized t g v =
   let probe = Probe.create g ~n:t.n in
   step_with t v ~coin ~u ~probe
 
-(* Two variates (coin, removal) plus one draw per consumed probe. *)
 let sim ?metrics t v =
   if Mv.dim v <> t.n then invalid_arg "Open_process.sim: dimension mismatch";
-  let metrics =
-    match metrics with Some m -> m | None -> Engine.Metrics.create ()
-  in
-  Engine.Sim.make ~metrics
+  Engine.Sim.make ?metrics
     ~step:(fun g ->
       let coin = Prng.Rng.float g in
       let u = Prng.Rng.float g in
       let probe = Probe.create g ~n:t.n in
       step_with t v ~coin ~u ~probe;
-      let probes = Probe.consumed probe in
-      Engine.Metrics.add_probes metrics probes;
-      Engine.Metrics.add_draws metrics (2 + probes))
+      Probe.consumed probe)
     ~observe:(fun () -> Mv.to_load_vector v)
     ~reset:(fun lv -> Mv.set_from_load_vector v lv)
     ~probe:(fun () -> Mv.max_load v)

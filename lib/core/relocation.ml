@@ -175,14 +175,8 @@ let exact_transitions t loads0 =
 
 let sim ?metrics t bins =
   if Bins.n bins <> t.n then invalid_arg "Relocation.sim: size mismatch";
-  let metrics =
-    match metrics with Some m -> m | None -> Engine.Metrics.create ()
-  in
-  Engine.Sim.make ~metrics
-    ~step:(fun g ->
-      let probes = step_counted t g bins in
-      Engine.Metrics.add_probes metrics probes;
-      Engine.Metrics.add_draws metrics (1 + probes))
+  Engine.Sim.make ?metrics
+    ~step:(fun g -> step_counted t g bins)
     ~observe:(fun () -> Bins.loads bins)
     ~reset:(fun loads -> Bins.reset_loads bins loads)
     ~probe:(fun () -> Bins.max_load bins)

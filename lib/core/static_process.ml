@@ -1,13 +1,7 @@
 (* One insertion per step; the caller owns the bins. *)
 let sim ?metrics rule bins =
-  let metrics =
-    match metrics with Some m -> m | None -> Engine.Metrics.create ()
-  in
-  Engine.Sim.make ~metrics
-    ~step:(fun g ->
-      let _, probes = Bins.insert_with_rule rule g bins in
-      Engine.Metrics.add_probes metrics probes;
-      Engine.Metrics.add_draws metrics probes)
+  Engine.Sim.make ?metrics
+    ~step:(fun g -> snd (Bins.insert_with_rule rule g bins))
     ~observe:(fun () -> Bins.loads bins)
     ~reset:(fun loads -> Bins.reset_loads bins loads)
     ~probe:(fun () -> Bins.max_load bins)

@@ -37,26 +37,19 @@ let run g t ~steps =
 
 let max_load t = Bins.max_load t.bins
 
-(* Scenario A draws one registry slot, scenario B one non-empty bin;
-   the insertion draws one bin per probe.  The [extend] handler below
-   makes the sim a full event machine: the serve layer drives the same
-   system through half-transitions ([Insert]/[Remove]) and queries,
-   while the rep loops keep feeding it composite [Step]s.  Mutations
+(* The [extend] handler below makes the sim a full event machine: the
+   serve layer drives the same system through half-transitions
+   ([Insert]/[Remove]) and queries, while the rep loops keep feeding it
+   composite [Step]s.  Mutations
    against an empty system come back [Rejected] instead of raising —
    and consume no randomness — so a service batch survives them and
    journal replay stays exact. *)
 let sim ?metrics t =
-  let metrics =
-    match metrics with Some m -> m | None -> Engine.Metrics.create ()
-  in
-  let extend g = function
+  let extend s g = function
     | Engine.Event.Insert _ ->
-        let was_sampled = sampled t in
         let bin, probes = insert g t in
+        let metrics = Engine.Sim.metrics s in
         Engine.Metrics.add_probes metrics probes;
-        (* Sampled insertion consumes one float + one int, whatever the
-           rule's probe count [d] (the law it reports as probes). *)
-        Engine.Metrics.add_draws metrics (if was_sampled then 2 else probes);
         Engine.Metrics.watermark metrics (Bins.max_load t.bins);
         Engine.Event.Placed bin
     | Engine.Event.Remove ->
@@ -67,17 +60,13 @@ let sim ?metrics t =
             | Scenario.A -> Bins.remove_ball_uniform g t.bins
             | Scenario.B -> Bins.remove_from_random_nonempty g t.bins
           in
-          Engine.Metrics.add_draws metrics 1;
           Engine.Event.Removed bin
         end
     | Engine.Event.Occupancy -> Engine.Event.Loads (Bins.loads t.bins)
     | ev -> Engine.Event.Rejected (Engine.Event.name ev ^ " unsupported")
   in
-  Engine.Sim.make ~metrics ~extend
-    ~step:(fun g ->
-      let probes = step_probes g t in
-      Engine.Metrics.add_probes metrics probes;
-      Engine.Metrics.add_draws metrics (1 + if sampled t then 2 else probes))
+  Engine.Sim.make ?metrics ~extend
+    ~step:(fun g -> step_probes g t)
     ~observe:(fun () -> Bins.loads t.bins)
     ~reset:(fun loads -> Bins.reset_loads t.bins loads)
     ~probe:(fun () -> Bins.max_load t.bins)

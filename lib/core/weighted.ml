@@ -119,15 +119,10 @@ let restore t s =
 
 let sim ?metrics t ~d ~dist =
   if d < 1 then invalid_arg "Weighted.sim: d must be >= 1";
-  let metrics =
-    match metrics with Some m -> m | None -> Engine.Metrics.create ()
-  in
-  let weight_draws = match dist with Constant _ -> 0 | _ -> 1 in
-  Engine.Sim.make ~metrics
+  Engine.Sim.make ?metrics
     ~step:(fun g ->
       dynamic_step t g ~d ~dist;
-      Engine.Metrics.add_probes metrics d;
-      Engine.Metrics.add_draws metrics (1 + d + weight_draws))
+      d)
     ~observe:(fun () -> snapshot t)
     ~reset:(fun s -> restore t s)
     ~probe:(fun () -> int_of_float (Float.ceil (max_load t)))

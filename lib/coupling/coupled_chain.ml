@@ -24,15 +24,13 @@ let of_identity ~chain_step ~equal ~distance =
    metric (typically O(n)), which the engine would otherwise evaluate
    after every step even when nobody reads it. *)
 let sim ?metrics ?(copy = fun s -> s) c ~x ~y =
-  let metrics =
-    match metrics with Some m -> m | None -> Engine.Metrics.create ()
-  in
   let x = ref x and y = ref y in
-  Engine.Sim.make ~metrics ~watermark:false
+  Engine.Sim.make ?metrics ~watermark:false
     ~step:(fun g ->
       let x', y' = c.step g !x !y in
       x := x';
-      y := y')
+      y := y';
+      0)
     ~observe:(fun () -> (copy !x, copy !y))
     ~reset:(fun (a, b) ->
       x := copy a;

@@ -122,17 +122,12 @@ let run g t ~steps =
     greedy_step g t
   done
 
-(* Two endpoint inspections per edge; the tie-breaking coin is not
-   metered separately. *)
+(* Two endpoint inspections per edge. *)
 let sim ?metrics t =
-  let metrics =
-    match metrics with Some m -> m | None -> Engine.Metrics.create ()
-  in
-  Engine.Sim.make ~metrics
+  Engine.Sim.make ?metrics
     ~step:(fun g ->
       greedy_step g t;
-      Engine.Metrics.add_probes metrics 2;
-      Engine.Metrics.add_draws metrics 2)
+      2)
     ~observe:(fun () -> discrepancies t)
     ~reset:(fun values -> restore t values)
     ~probe:(fun () -> unfairness t)

@@ -41,6 +41,8 @@ let add_draws (m : t) k =
   if k < 0 then invalid_arg "Metrics.add_draws: negative count";
   m.rng_draws <- m.rng_draws + k
 
+let rng_draws (m : t) = m.rng_draws
+
 let watermark (m : t) level = if level > m.watermark then m.watermark <- level
 let watermark_level (m : t) = m.watermark
 

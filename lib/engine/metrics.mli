@@ -1,10 +1,10 @@
 (** Always-on simulation counters.
 
-    Every {!Sim.t} owns a value of this type; adapters thread the cheap
-    counters (steps, probes, RNG draws, max-load watermark) through their
-    step functions, and {!Runner} accumulates wall-clock per phase, so
-    that any measurement can report probes/step and steps/sec next to its
-    table.
+    Every {!Sim.t} owns a value of this type and maintains its cheap
+    counters (steps, probes, RNG draws, max-load watermark) itself;
+    adapters only report the probes each step issued.  {!Runner}
+    accumulates wall-clock per phase, so that any measurement can report
+    probes/step and steps/sec next to its table.
 
     A [t] is a single-domain accumulator: it must not be shared across
     domains.  {!Runner} gives every repetition its own and {!merge}s the
@@ -19,9 +19,12 @@ type snapshot = {
   steps : int;  (** Transitions taken. *)
   probes : int;  (** Insertion probes issued (where the adapter reports them). *)
   rng_draws : int;
-      (** Primitive generator draws, as reported by the adapters (a close
-          lower bound: rejection sampling inside {!Prng.Rng} is not
-          visible to them). *)
+      (** Generator words consumed by the events {!Sim.apply} handled:
+          the sum over events of the {!Prng.Rng.draws} delta of the
+          generator the event ran on.  Exact — rejected words inside
+          {!Prng.Rng.int} and the one word of each {!Prng.Rng.split}
+          (a coupling's shared substream) are included; words drawn by
+          generators split off during the event are not. *)
   watermark : int;
       (** Highest value of the sim's cheap observable seen after any step
           (the max-load watermark for allocation processes); [min_int]
@@ -48,7 +51,13 @@ val add_probes : t -> int -> unit
     @raise Invalid_argument on a negative count. *)
 
 val add_draws : t -> int -> unit
-(** @raise Invalid_argument on a negative count. *)
+(** Count generator words.  {!Sim} credits every event's draws through
+    this; adapters do not call it.
+    @raise Invalid_argument on a negative count. *)
+
+val rng_draws : t -> int
+(** Draws credited so far (cheap; {!Sim} reads it around [extend]
+    handlers that send nested steps). *)
 
 val watermark : t -> int -> unit
 (** Raise the watermark to the given level if it exceeds the current

@@ -1,14 +1,13 @@
 (* A sim is an event-driven state machine over preallocated buffers: the
    primary interface is [apply : rng -> Event.t -> Event.reply], and the
    historical step/probe entry points are the [Step]/[Probe] projections
-   of it.  [make] wraps the adapter's raw step exactly as before (step
-   counter, watermark, sampled trace events), so the rep loops — now
-   phrased as streams of [Step] events — are bit-identical to the
-   pre-event engine. *)
+   of it.  The adapter supplies plain transition functions; every
+   counter (steps, probes, draws, watermark, sampled trace events) is
+   maintained here. *)
 
 type 'obs t = {
   step : Prng.Rng.t -> unit;  (* the wrapped [Step] transition *)
-  extend : (Prng.Rng.t -> Event.t -> Event.reply) option;
+  extend : ('obs t -> Prng.Rng.t -> Event.t -> Event.reply) option;
   observe : unit -> 'obs;
   reset : 'obs -> unit;
   probe : unit -> int;
@@ -23,10 +22,20 @@ type 'obs t = {
 let sample_mask = 1023
 let watermark_hist = Obs.Histogram.make "sim.watermark"
 
+(* One counted transition: the probes it reports, the generator words
+   it consumed, and the step itself.  A step that issues no probes (a
+   coupling, an edge class chain) records no probes-per-insertion
+   observation. *)
+let counted metrics step g =
+  let d0 = Prng.Rng.draws g in
+  let probes = step g in
+  if probes <> 0 then Metrics.add_probes metrics probes;
+  Metrics.add_draws metrics (Prng.Rng.draws g - d0);
+  Metrics.add_step metrics
+
 let traced_step metrics probe step g =
   let sp = Obs.begin_span "sim.step" in
-  step g;
-  Metrics.add_step metrics;
+  counted metrics step g;
   let level = probe () in
   Metrics.watermark metrics level;
   Obs.end_span ~args:[ ("step", Obs.Int (Metrics.steps metrics)) ] sp;
@@ -42,13 +51,10 @@ let make ?metrics ?(watermark = true) ?extend ~step ~observe ~reset ~probe () =
       if Obs.enabled () && Metrics.steps metrics land sample_mask = 0 then
         traced_step metrics probe step g
       else begin
-        step g;
-        Metrics.add_step metrics;
+        counted metrics step g;
         Metrics.watermark metrics (probe ())
       end)
-    else (fun g ->
-      step g;
-      Metrics.add_step metrics)
+    else counted metrics step
   in
   { step; extend; observe; reset; probe; metrics }
 
@@ -56,7 +62,9 @@ let metrics s = s.metrics
 
 (* The state machine.  [Step]/[Probe]/[Watermark] are generic; the
    remaining vocabulary is machine-specific and goes through [extend]
-   when the adapter provided one. *)
+   when the adapter provided one.  The handler may itself send [Step]s
+   (an RBB [Round] is one), which credit their own draws; the handler's
+   credit is what the generator advanced by minus those. *)
 let apply s g ev =
   match ev with
   | Event.Step ->
@@ -66,7 +74,12 @@ let apply s g ev =
   | Event.Watermark -> Event.Level (Metrics.watermark_level s.metrics)
   | Event.Round | Event.Insert _ | Event.Remove | Event.Occupancy -> (
       match s.extend with
-      | Some handle -> handle g ev
+      | Some handle ->
+          let m = s.metrics in
+          let before = Prng.Rng.draws g - Metrics.rng_draws m in
+          let reply = handle s g ev in
+          Metrics.add_draws m (Prng.Rng.draws g - Metrics.rng_draws m - before);
+          reply
       | None -> Event.Rejected (Event.name ev ^ " unsupported"))
 
 let step s g = s.step g

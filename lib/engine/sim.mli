@@ -7,9 +7,11 @@
     observable of it (the maximum load for allocation processes, the
     coupling distance for coupled pairs, the unfairness for edge
     orientations), [Watermark] reads the highest probe level seen, and
-    machines built with an [extend] handler (allocation systems) also
-    answer [Insert]/[Remove]/[Occupancy].  {!observe} snapshots the full
-    state as an immutable value and {!reset} restores a snapshot — so
+    machines built with an [extend] handler (allocation systems, RBB
+    machines) also answer [Round]/[Insert]/[Remove]/[Occupancy].  The
+    sim maintains every {!Metrics} counter itself.  {!observe} snapshots
+    the full state as an immutable value and {!reset} restores a
+    snapshot — so
     one sim can be reused across repetitions.
 
     Every process in the repository exposes a [sim] constructor
@@ -28,27 +30,35 @@ type 'obs t
 val make :
   ?metrics:Metrics.t ->
   ?watermark:bool ->
-  ?extend:(Prng.Rng.t -> Event.t -> Event.reply) ->
-  step:(Prng.Rng.t -> unit) ->
+  ?extend:('obs t -> Prng.Rng.t -> Event.t -> Event.reply) ->
+  step:(Prng.Rng.t -> int) ->
   observe:(unit -> 'obs) ->
   reset:('obs -> unit) ->
   probe:(unit -> int) ->
   unit ->
   'obs t
-(** Wraps [step] so that the step counter — and, unless
-    [watermark = false], the {!probe} watermark — are maintained
-    automatically.  Adapters whose probe is not O(1) pass
-    [~watermark:false].  A fresh {!Metrics.t} is created when none is
-    given.
+(** [step g] is the adapter's plain transition: it mutates the state
+    and returns the number of insertion probes it issued (0 where the
+    notion does not apply).  The sim counts the step, adds the probes,
+    credits the generator words the step consumed ({!Prng.Rng.draws})
+    and — unless [watermark = false] — raises the {!probe} watermark.
+    Adapters whose probe is not O(1) pass [~watermark:false].  A fresh
+    {!Metrics.t} is created when none is given.
 
-    [extend] handles the machine-specific events ([Insert], [Remove],
-    [Occupancy]); without it {!apply} answers them [Rejected].  An
-    [extend] handler is responsible for its own metrics (probes, draws,
-    watermark) — the automatic maintenance above covers only [Step]. *)
+    [extend s g ev] handles the machine-specific events ([Round],
+    [Insert], [Remove], [Occupancy]); without it {!apply} answers them
+    [Rejected].  The sim credits the draws of every event it routes to
+    the handler.  Anything else the handler counts (probes, watermark)
+    it records through [metrics s]; a handler whose event is a unit
+    transition (an RBB [Round]) sends it as {!step}[ s g], which counts
+    exactly like a [Step] event. *)
 
 val apply : 'obs t -> Prng.Rng.t -> Event.t -> Event.reply
 (** The state machine: one event in, one reply out.  [Step] replies
-    [Ack] without allocating; [Probe]/[Watermark] reply [Level]. *)
+    [Ack] without allocating; [Probe]/[Watermark] reply [Level].  Every
+    event's generator words are credited to [rng_draws], so the counter
+    equals the draws the sim consumed from the generators it was
+    driven with. *)
 
 val metrics : _ t -> Metrics.t
 val step : _ t -> Prng.Rng.t -> unit

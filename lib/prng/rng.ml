@@ -1,16 +1,22 @@
-type t = { gen : Xoshiro.t; sm : Splitmix64.t }
+(* [draws] counts the 64-bit words this generator has advanced over;
+   it is not part of the stream, so {!save} leaves it out and every
+   fresh generator (created, copied, split off or restored) starts at 0. *)
+type t = { gen : Xoshiro.t; sm : Splitmix64.t; mutable draws : int }
 
+let of_splitmix sm = { gen = Xoshiro.of_splitmix sm; sm; draws = 0 }
 let create ?(seed = 0x5EED) () =
-  let sm = Splitmix64.create (Int64.of_int seed) in
-  { gen = Xoshiro.of_splitmix sm; sm }
-
-let copy g = { gen = Xoshiro.copy g.gen; sm = Splitmix64.split g.sm }
+  of_splitmix (Splitmix64.create (Int64.of_int seed))
+let copy g = { gen = Xoshiro.copy g.gen; sm = Splitmix64.split g.sm; draws = 0 }
 
 let split g =
-  let sm = Splitmix64.split g.sm in
-  { gen = Xoshiro.of_splitmix sm; sm }
+  g.draws <- g.draws + 1;
+  of_splitmix (Splitmix64.split g.sm)
 
-let bits64 g = Xoshiro.next g.gen
+let draws g = g.draws
+
+let bits64 g =
+  g.draws <- g.draws + 1;
+  Xoshiro.next g.gen
 
 (* Lemire-style unbiased bounded sampling via rejection on the top bits. *)
 let int g bound =
@@ -72,4 +78,5 @@ let save g = Array.append (Xoshiro.state g.gen) [| Splitmix64.state g.sm |]
 let restore words =
   if Array.length words <> 5 then invalid_arg "Rng.restore: need 5 words";
   { gen = Xoshiro.of_state (Array.sub words 0 4);
-    sm = Splitmix64.create words.(4) }
+    sm = Splitmix64.create words.(4);
+    draws = 0 }

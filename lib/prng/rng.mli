@@ -13,11 +13,21 @@ val create : ?seed:int -> unit -> t
 
 val copy : t -> t
 (** [copy g] duplicates the current state; the copy replays the same
-    stream.  This is the primitive used to build identity couplings. *)
+    stream.  This is the primitive used to build identity couplings.
+    The copy's {!draws} starts at 0 and [g]'s is unchanged. *)
 
 val split : t -> t
 (** [split g] derives a statistically independent generator from [g],
-    advancing [g].  Used to give independent streams to repetitions. *)
+    advancing [g] (one {!draws}).  Used to give independent streams to
+    repetitions.  The child's {!draws} starts at 0. *)
+
+val draws : t -> int
+(** [draws g] is the exact number of 64-bit words [g] has advanced over
+    since it was created, copied, split off or restored: one per
+    {!bits64}, {!float} and {!bool}, one per word {!int} consumes
+    (rejected words included — a non-power-of-two bound can take more
+    than one), and one per {!split}.  {!Engine.Sim} credits the delta
+    of each event to its [rng_draws] counter. *)
 
 val bits64 : t -> int64
 (** [bits64 g] returns 64 uniform pseudo-random bits. *)
@@ -57,7 +67,8 @@ val save : t -> int64 array
 (** The full generator state as five words (four xoshiro256++ state
     words plus the splitmix64 word).  {!restore} rebuilds a generator
     that replays exactly the stream this one would have produced — the
-    primitive behind service snapshots ({!Serve.Journal}). *)
+    primitive behind service snapshots ({!Serve.Journal}).  The {!draws}
+    counter is not part of the state. *)
 
 val restore : int64 array -> t
 (** Inverse of {!save}.

@@ -101,25 +101,16 @@ let chain t =
 (* The sims answer [Round] exactly as [Step]: the round IS the unit
    transition of this family, so every Step-driven rep loop (iterate,
    first_hit, conformance) advances it one round at a time. *)
-let round_extend do_round g = function
+let round_extend s g = function
   | Engine.Event.Round ->
-      do_round g;
+      Engine.Sim.step s g;
       Engine.Event.Ack
   | ev -> Engine.Event.Rejected (Engine.Event.name ev ^ " unsupported")
 
 let sim ?metrics t v =
   if Mv.dim v <> t.n then invalid_arg "Rbb.sim: dimension mismatch";
-  let metrics =
-    match metrics with Some m -> m | None -> Engine.Metrics.create ()
-  in
-  let do_round g =
-    let probes = round_probes t g v in
-    Engine.Metrics.add_probes metrics probes;
-    Engine.Metrics.add_draws metrics probes
-  in
-  Engine.Sim.make ~metrics
-    ~extend:(round_extend do_round)
-    ~step:do_round
+  Engine.Sim.make ?metrics ~extend:round_extend
+    ~step:(fun g -> round_probes t g v)
     ~observe:(fun () -> Mv.to_load_vector v)
     ~reset:(fun lv -> Mv.set_from_load_vector v lv)
     ~probe:(fun () -> Mv.max_load v)
@@ -127,17 +118,8 @@ let sim ?metrics t v =
 
 let sim_counts ?metrics t cv =
   if Cv.dim cv <> t.n then invalid_arg "Rbb.sim: dimension mismatch";
-  let metrics =
-    match metrics with Some m -> m | None -> Engine.Metrics.create ()
-  in
-  let do_round g =
-    let probes = round_counts_probes t g cv in
-    Engine.Metrics.add_probes metrics probes;
-    Engine.Metrics.add_draws metrics probes
-  in
-  Engine.Sim.make ~metrics
-    ~extend:(round_extend do_round)
-    ~step:do_round
+  Engine.Sim.make ?metrics ~extend:round_extend
+    ~step:(fun g -> round_counts_probes t g cv)
     ~observe:(fun () -> Cv.to_load_vector cv)
     ~reset:(fun lv -> Cv.set_from_load_vector cv lv)
     ~probe:(fun () -> Cv.max_load cv)
@@ -151,9 +133,6 @@ let sim_counts_sampled ?metrics t cv =
   if Cv.dim cv <> t.n then invalid_arg "Rbb.sim: dimension mismatch";
   let d = d_of t.rule in
   let module Tbl = Rule.Abku_table in
-  let metrics =
-    match metrics with Some m -> m | None -> Engine.Metrics.create ()
-  in
   let do_round g =
     let q = Cv.eject_all cv in
     let table =
@@ -164,12 +143,9 @@ let sim_counts_sampled ?metrics t cv =
       Cv.shift_up cv dest;
       Tbl.on_gain table (dest + 1)
     done;
-    Engine.Metrics.add_probes metrics (q * d);
-    Engine.Metrics.add_draws metrics q
+    q * d
   in
-  Engine.Sim.make ~metrics
-    ~extend:(round_extend do_round)
-    ~step:do_round
+  Engine.Sim.make ?metrics ~extend:round_extend ~step:do_round
     ~observe:(fun () -> Cv.to_load_vector cv)
     ~reset:(fun lv -> Cv.set_from_load_vector cv lv)
     ~probe:(fun () -> Cv.max_load cv)
@@ -267,31 +243,19 @@ let service_sim ?metrics t bins =
   if Core.Bins.n bins <> t.n then
     invalid_arg "Rbb.service_sim: dimension mismatch";
   let place = placement t.rule in
-  let metrics =
-    match metrics with Some m -> m | None -> Engine.Metrics.create ()
-  in
-  let do_round g =
-    let probes = service_round t g bins in
-    Engine.Metrics.add_probes metrics probes;
-    Engine.Metrics.add_draws metrics probes
-  in
-  let extend g = function
-    | Engine.Event.Round ->
-        do_round g;
-        Engine.Metrics.watermark metrics (Core.Bins.max_load bins);
-        Engine.Event.Ack
+  let extend s g = function
     | Engine.Event.Insert _ ->
         let bin, probes = Core.Bins.insert_with_rule place g bins in
+        let metrics = Engine.Sim.metrics s in
         Engine.Metrics.add_probes metrics probes;
-        Engine.Metrics.add_draws metrics probes;
         Engine.Metrics.watermark metrics (Core.Bins.max_load bins);
         Engine.Event.Placed bin
     | Engine.Event.Remove ->
         Engine.Event.Rejected "round-synchronous machine: no removal law"
     | Engine.Event.Occupancy -> Engine.Event.Loads (Core.Bins.loads bins)
-    | ev -> Engine.Event.Rejected (Engine.Event.name ev ^ " unsupported")
+    | ev -> round_extend s g ev
   in
-  Engine.Sim.make ~metrics ~extend ~step:do_round
+  Engine.Sim.make ?metrics ~extend ~step:(fun g -> service_round t g bins)
     ~observe:(fun () -> Core.Bins.loads bins)
     ~reset:(fun loads -> Core.Bins.reset_loads bins loads)
     ~probe:(fun () -> Core.Bins.max_load bins)

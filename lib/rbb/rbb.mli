@@ -95,9 +95,10 @@ val chain : t -> Loadvec.Load_vector.t Markov.Chain.t
 
 (** {2 Simulation engine adapters}
 
-    Probes are accounted as [q * d] per round; draws record the real
-    RNG consumption ([q * d] ints for the draw-order-preserving
-    backends, [q] floats for the sampled one). *)
+    One round is one step: [Step] and [Round] events are the same
+    transition and count the same way.  Probes are accounted as
+    [q * d] per round; draws are the generator's own count of the words
+    consumed ({!Prng.Rng.draws}). *)
 
 val sim :
   ?metrics:Engine.Metrics.t ->

@@ -243,6 +243,12 @@ let watermark t =
     (fun acc sh -> max acc (Shard.watermark sh))
     min_int t.shards
 
+let metrics t =
+  Array.fold_left
+    (fun acc sh ->
+      Engine.Metrics.merge acc (Engine.Metrics.snapshot (Shard.metrics sh)))
+    Engine.Metrics.zero t.shards
+
 let loads t =
   Array.concat (Array.to_list (Array.map Shard.loads t.shards))
 

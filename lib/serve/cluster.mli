@@ -72,6 +72,9 @@ val queue_depths : t -> int array
 val max_load : t -> int
 val watermark : t -> int
 
+val metrics : t -> Engine.Metrics.snapshot
+(** Engine counters of every shard's machine, merged. *)
+
 val loads : t -> int array
 (** Global per-bin loads (shard snapshots concatenated in bin order). *)
 

@@ -38,7 +38,7 @@ module Json = Experiment.Json
    stage histograms are keyed by these indices. *)
 let op_names =
   [| "step"; "round"; "insert"; "remove"; "probe"; "occupancy"; "watermark";
-     "ping"; "metrics"; "stats"; "error" |]
+     "ping"; "stats"; "error" |]
 
 let op_count = Array.length op_names
 let op_step = 0
@@ -49,9 +49,8 @@ let op_probe = 4
 let op_occupancy = 5
 let op_watermark = 6
 let op_ping = 7
-let op_metrics = 8
-let op_stats = 9
-let op_error = 10
+let op_stats = 8
+let op_error = 9
 
 let op_of_event = function
   | Engine.Event.Step -> op_step
@@ -149,6 +148,7 @@ type cluster_gauges = {
   balls_total : int;
   max_load : int;
   watermark : int;
+  engine : Engine.Metrics.snapshot;
 }
 
 (* {2 JSON exposition} *)
@@ -229,15 +229,23 @@ let report_json t ~totals ~cluster ~shards ~durability =
     ("events", Json.Int totals.events);
     ("errors", Json.Int totals.errors);
     ("rounds", Json.Int totals.rounds);
+    ("engine_steps", Json.Int cluster.engine.steps);
+    ("engine_probes", Json.Int cluster.engine.probes);
+    ("engine_rng_draws", Json.Int cluster.engine.rng_draws);
     ("batch_events", hist_json (Hist.snapshot t.batch_events));
     ("round_ns", hist_json (Hist.snapshot t.round_ns));
     ("ops", ops_json t);
     ("shards", Json.List (List.map (shard_json t) shards));
   ]
+  @ (match durability with
+    | Some d -> [ ("durability", durability_json d) ]
+    | None -> [])
   @
-  match durability with
-  | Some d -> [ ("durability", durability_json d) ]
-  | None -> []
+  if Obs.enabled () then
+    [ ( "obs_counters",
+        Json.Obj
+          (List.map (fun (k, v) -> (k, Json.Int v)) (Obs.counters ())) ) ]
+  else []
 
 (* {2 Prometheus text exposition} *)
 
@@ -330,6 +338,12 @@ let report_prom t ~totals ~cluster ~shards ~durability =
   counter "repro_serve_errors_total" "Error replies" totals.errors;
   counter "repro_serve_rounds_total" "Select rounds with traffic"
     totals.rounds;
+  counter "repro_serve_engine_steps_total" "Engine transitions over all shards"
+    cluster.engine.steps;
+  counter "repro_serve_engine_probes_total"
+    "Insertion probes over all shards" cluster.engine.probes;
+  counter "repro_serve_engine_rng_draws_total"
+    "Generator words consumed over all shards" cluster.engine.rng_draws;
   prom_hist p "repro_serve_batch_events" [] "Events per applied round"
     (Hist.snapshot t.batch_events);
   prom_hist p "repro_serve_round_ns" [] "Round duration in nanoseconds"

@@ -32,13 +32,12 @@ val uptime_s : t -> float
 (** {2 Op taxonomy}
 
     Stage and latency histograms are keyed by a small op index covering
-    the wire vocabulary (events, [ping], [metrics], [stats]) plus a
+    the wire vocabulary (events, [ping], [stats]) plus a
     pseudo-op for unparseable requests. *)
 
 val op_count : int
 val op_of_event : Engine.Event.t -> int
 val op_ping : int
-val op_metrics : int
 val op_stats : int
 val op_error : int
 val op_name : int -> string
@@ -102,6 +101,8 @@ type cluster_gauges = {
   balls_total : int;
   max_load : int;
   watermark : int;
+  engine : Engine.Metrics.snapshot;
+      (** Engine counters merged over every shard's machine. *)
 }
 
 (** {2 Exposition} *)
@@ -117,9 +118,11 @@ val report_json :
   shards:shard_gauges list ->
   durability:durability option ->
   (string * Experiment.Json.t) list
-(** The [stats] reply fields: top-level gauges, [ops] (per-op latency
-    and stage histograms, empty ops omitted), [shards] (gauges plus
-    drain histograms), and [durability] when the service has a store. *)
+(** The [stats] reply fields: top-level gauges and the engine counters
+    ([engine_steps], [engine_probes], [engine_rng_draws]), [ops]
+    (per-op latency and stage histograms, empty ops omitted), [shards]
+    (gauges plus drain histograms), [durability] when the service has a
+    store, and [obs_counters] when tracing is enabled. *)
 
 val report_prom :
   t ->
@@ -129,5 +132,7 @@ val report_prom :
   durability:durability option ->
   string
 (** The same report as a Prometheus text exposition ([# HELP] /
-    [# TYPE] preambles; histograms as pre-computed quantile samples
-    with [_count] / [_sum] companions). *)
+    [# TYPE] preambles; the engine counters as
+    [repro_serve_engine_{steps,probes,rng_draws}_total]; histograms as
+    pre-computed quantile samples with [_count] / [_sum] companions).
+    [obs_counters] is JSON-only. *)

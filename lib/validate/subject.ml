@@ -89,7 +89,9 @@ let edge ?block_rows ~n () =
         (fun () ->
           let cur = ref start in
           Engine.Sim.make ~watermark:false
-            ~step:(fun g -> cur := Cc.step g !cur)
+            ~step:(fun g ->
+              cur := Cc.step g !cur;
+              0)
             ~observe:(fun () -> !cur)
             ~reset:(fun s -> cur := s)
             ~probe:(fun () -> Cc.unfairness !cur)

@@ -13,7 +13,9 @@ let rng ?(seed = 0xE46) () = Prng.Rng.create ~seed ()
 let counter_sim () =
   let x = ref 0 in
   Engine.Sim.make
-    ~step:(fun _ -> incr x)
+    ~step:(fun _ ->
+      incr x;
+      0)
     ~observe:(fun () -> !x)
     ~reset:(fun v -> x := v)
     ~probe:(fun () -> !x)
@@ -55,9 +57,20 @@ let test_sim_drivers () =
 
 let test_metrics_accounting () =
   let m = Engine.Metrics.create () in
-  Engine.Metrics.add_step m;
-  Engine.Metrics.add_probes m 3;
-  Engine.Metrics.add_draws m 4;
+  (* Draws are credited by the sim only: one step reporting 3 probes
+     and consuming 4 generator words. *)
+  let s =
+    Engine.Sim.make ~metrics:m ~watermark:false
+      ~step:(fun g ->
+        for _ = 1 to 4 do
+          ignore (Prng.Rng.bits64 g)
+        done;
+        3)
+      ~observe:ignore ~reset:ignore
+      ~probe:(fun () -> 0)
+      ()
+  in
+  Engine.Sim.step s (rng ());
   Engine.Metrics.watermark m 7;
   Engine.Metrics.watermark m 2;
   Engine.Metrics.add_phase m "run" 0.25;
@@ -236,6 +249,82 @@ let test_coupled_sim_first_hit () =
   check_pair 4 0;
   check_pair 0 1
 
+(* {2 Draw accounting}
+
+   The sim credits every event with the generator words it consumed. *)
+
+(* The sampled [traced_step] path counts exactly like the plain one. *)
+let test_counters_traced_untraced () =
+  let n = 10 in
+  let run () =
+    let p = Core.Dynamic_process.make Core.Scenario.A (Sr.abku 2) ~n in
+    let s =
+      Core.Dynamic_process.sim p (Mv.of_load_vector (Lv.all_in_one ~n ~m:n))
+    in
+    Engine.Sim.iterate s (rng ()) 3000;
+    let snap = Engine.Metrics.snapshot (Engine.Sim.metrics s) in
+    (snap.steps, snap.probes, snap.rng_draws, snap.watermark)
+  in
+  let counters = Alcotest.(pair (pair int int) (pair int int)) in
+  let nest (a, b, c, d) = ((a, b), (c, d)) in
+  let plain = run () in
+  Obs.reset ();
+  Obs.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.disable ();
+      Obs.reset ())
+    (fun () ->
+      let traced = run () in
+      Alcotest.check counters "traced = untraced" (nest plain) (nest traced);
+      let sampled = List.assoc "sim.watermark" (Obs.histograms ()) in
+      Alcotest.(check int) "steps 0, 1024 and 2048 were traced" 3
+        sampled.Obs.Hist.count)
+
+(* An identity coupling splits one substream off the driving generator
+   per joint step, so it draws exactly one word per step. *)
+let test_coupling_draws () =
+  let c =
+    Coupling.Coupled_chain.of_identity
+      ~chain_step:(fun g x -> if Prng.Rng.int g 3 = 0 then 0 else min 6 (x + 1))
+      ~equal:( = )
+      ~distance:(fun x y -> abs (x - y))
+  in
+  let m, metrics =
+    Coupling.Coalescence.measure_with_metrics ~reps:20 ~limit:200
+      ~rng:(rng ()) c
+      ~init:(fun _ -> (0, 3))
+  in
+  Alcotest.(check int) "every run met" 0 m.Coupling.Coalescence.failures;
+  Alcotest.(check bool) "draws are reported" true (metrics.rng_draws > 0);
+  Alcotest.(check int) "one split per step" metrics.steps metrics.rng_draws
+
+(* Events routed to [extend] ([Insert]/[Remove]) are credited like
+   [Step]s: the counter is the generator's whole consumption. *)
+let test_system_event_draws () =
+  List.iter
+    (fun repr ->
+      let n = 10 in
+      let sys =
+        Core.System.create ~repr Core.Scenario.A (Sr.abku 2)
+          (Core.Bins.of_loads (Array.make n 1))
+      in
+      let s = Core.System.sim sys in
+      let g = rng () in
+      for i = 1 to 50 do
+        List.iter
+          (fun ev -> ignore (Engine.Sim.apply s g ev))
+          Engine.Event.[ Insert i; Remove; Step; Probe; Occupancy; Watermark ]
+      done;
+      let snap = Engine.Metrics.snapshot (Engine.Sim.metrics s) in
+      let name = Core.Repr.name repr in
+      Alcotest.(check int) (name ^ ": steps") 50 snap.steps;
+      Alcotest.(check bool) (name ^ ": mutations drew") true
+        (snap.rng_draws > 50 * 4);
+      Alcotest.(check int) (name ^ ": draws = generator words")
+        (Prng.Rng.draws g) snap.rng_draws)
+    Core.Repr.[ Array_backed; Count_sampled ]
+
 (* Regression: [diff]'s phase combination historically computed
    before - after — a negated delta for shared keys, and the raw
    positive before-value for keys only present in [before] (which are
@@ -267,4 +356,7 @@ let suite =
       ("runner domain determinism", test_runner_domain_determinism);
       ("runner summarize", test_runner_summarize);
       ("coupled sim coalescence", test_coupled_sim_first_hit);
+      ("counters traced = untraced", test_counters_traced_untraced);
+      ("coupling draws", test_coupling_draws);
+      ("system event draws", test_system_event_draws);
     ]

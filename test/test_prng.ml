@@ -241,6 +241,77 @@ let qcheck_inverse_cdf_valid =
       let i = Prng.Dist.inverse_cdf w u in
       0 <= i && i < Array.length w)
 
+(* {2 The draw counter} *)
+
+let test_draws_per_word () =
+  let g = rng () in
+  let step name f =
+    let before = Prng.Rng.draws g in
+    f ();
+    Alcotest.(check int) name (before + 1) (Prng.Rng.draws g)
+  in
+  Alcotest.(check int) "fresh generator" 0 (Prng.Rng.draws g);
+  step "bits64" (fun () -> ignore (Prng.Rng.bits64 g));
+  step "float" (fun () -> ignore (Prng.Rng.float g));
+  step "bool" (fun () -> ignore (Prng.Rng.bool g));
+  step "power-of-two int" (fun () -> ignore (Prng.Rng.int g 1024));
+  step "split" (fun () -> ignore (Prng.Rng.split g))
+
+(* A bound just above 2^61 rejects about half of the 62-bit words, so
+   the count must include the retries: replay the copy word by word
+   with the same acceptance test and compare. *)
+let test_draws_count_rejections () =
+  let g = rng ~seed:7 () in
+  let replay = Prng.Rng.copy g in
+  let bound = (1 lsl 61) + 1 in
+  let mask = (1 lsl 62) - 1 in
+  let limit = mask - (mask mod bound) in
+  let samples = 2000 in
+  let words = ref 0 in
+  for _ = 1 to samples do
+    let x = Prng.Rng.int g bound in
+    let rec accept () =
+      incr words;
+      let r = Int64.to_int (Prng.Rng.bits64 replay) land mask in
+      if r >= limit then accept () else r mod bound
+    in
+    Alcotest.(check int) "replayed sample" (accept ()) x
+  done;
+  Alcotest.(check int) "draws = words the replay consumed" !words
+    (Prng.Rng.draws g);
+  Alcotest.(check int) "the replay counts the same words" !words
+    (Prng.Rng.draws replay);
+  Alcotest.(check bool) "rejections happened" true (!words > samples * 3 / 2)
+
+let test_draws_start_at_zero () =
+  let g = rng () in
+  for _ = 1 to 5 do
+    ignore (Prng.Rng.bits64 g)
+  done;
+  Alcotest.(check int) "copy" 0 (Prng.Rng.draws (Prng.Rng.copy g));
+  Alcotest.(check int) "restore" 0
+    (Prng.Rng.draws (Prng.Rng.restore (Prng.Rng.save g)));
+  Alcotest.(check int) "split child" 0 (Prng.Rng.draws (Prng.Rng.split g));
+  Alcotest.(check int) "the parent keeps its count" 6 (Prng.Rng.draws g)
+
+(* Snapshots and journals store [save]'s five words; the counter must
+   not change them. *)
+let test_save_words_pinned () =
+  let words = Alcotest.(array int64) in
+  let g = rng () in
+  Alcotest.check words "fresh seed 42"
+    [| 0xBDD732262FEB6E95L; 0x28EFE333B266F103L; 0x47526757130F9F52L;
+       0x581CE1FF0E4AE394L; 0x78DDE6E5FD29F07EL |]
+    (Prng.Rng.save g);
+  for _ = 1 to 3 do
+    ignore (Prng.Rng.int g 1000)
+  done;
+  ignore (Prng.Rng.split g);
+  Alcotest.check words "after three ints and a split"
+    [| 0xCC58F5A5B5B0FB99L; 0x23F3C3F0F216EB87L; 0x6E76F3AB2BB36686L;
+       0x821B4A2893A27915L; 0x1715609F7C746C93L |]
+    (Prng.Rng.save g)
+
 let suite =
   List.map (fun (n, f) -> Alcotest.test_case n `Quick f)
     [
@@ -264,6 +335,10 @@ let suite =
       ("inverse_cdf boundaries", test_inverse_cdf);
       ("alias frequencies", test_alias_matches_weights);
       ("weighted skips zeros", test_weighted_skips_zeros);
+      ("draws: one per word", test_draws_per_word);
+      ("draws: rejected words count", test_draws_count_rejections);
+      ("draws: fresh generators start at 0", test_draws_start_at_zero);
+      ("save words pinned", test_save_words_pinned);
     ]
   @ List.map QCheck_alcotest.to_alcotest
       [

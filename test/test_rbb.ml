@@ -167,8 +167,41 @@ let test_sampled_matches_law () =
 
 (* {2 Event vocabulary} *)
 
+(* [k] Round events and [k] Step events from equal states and equal
+   generators: the same transition, counted the same way. *)
+let check_round_is_step name fresh =
+  let k = 7 in
+  let run ev =
+    let s = fresh () in
+    let g = rng_of 21 in
+    for _ = 1 to k do
+      match Engine.Sim.apply s g ev with
+      | Engine.Event.Ack -> ()
+      | _ -> Alcotest.failf "%s: %s should Ack" name (Engine.Event.name ev)
+    done;
+    let m = Engine.Metrics.snapshot (Engine.Sim.metrics s) in
+    (Engine.Sim.observe s, (m.steps, m.probes, m.rng_draws, m.watermark))
+  in
+  let state_r, (steps, probes, draws, wm) = run Engine.Event.Round in
+  let state_s, counters_s = run Engine.Event.Step in
+  Alcotest.(check bool) (name ^ ": same state") true (state_r = state_s);
+  Alcotest.(check int) (name ^ ": a round is a step") k steps;
+  Alcotest.(check bool) (name ^ ": rounds drew") true (draws > 0 && probes > 0);
+  Alcotest.(check bool) (name ^ ": watermark raised") true (wm > min_int);
+  Alcotest.(check bool)
+    (name ^ ": identical steps/probes/draws/watermark")
+    true
+    ((steps, probes, draws, wm) = counters_s)
+
 let test_round_event_vocabulary () =
   let n = 6 and m = 9 in
+  List.iter
+    (fun repr ->
+      check_round_is_step (Core.Repr.name repr) (fun () ->
+          Rbb.sim_repr ~repr
+            (Rbb.make (Rbb.dchoice 2) ~n)
+            (Lv.all_in_one ~n ~m)))
+    Core.Repr.[ Array_backed; Count_backed; Count_sampled ];
   let p = Rbb.make (Rbb.dchoice 2) ~n in
   let g = rng_of 3 in
   let s = Rbb.sim_repr p (Lv.uniform ~n ~m) in
@@ -193,6 +226,8 @@ let test_round_event_vocabulary () =
 let test_service_machine () =
   let n = 8 in
   let p = Rbb.make Rbb.uniform ~n in
+  check_round_is_step "service" (fun () ->
+      Rbb.service_sim p (Core.Bins.of_loads (Array.init n (fun i -> i mod 3))));
   let bins = Core.Bins.of_loads (Array.make n 2) in
   let s = Rbb.service_sim p bins in
   let g = rng_of 9 in

@@ -409,7 +409,6 @@ let test_wire_parse () =
   ok {|{"op":"occupancy"}|} None (Serve.Wire.Event Engine.Event.Occupancy);
   ok {|{"op":"watermark"}|} None (Serve.Wire.Event Engine.Event.Watermark);
   ok {|{"op":"ping"}|} None Serve.Wire.Ping;
-  ok {|{"op":"metrics","id":9}|} (Some 9) Serve.Wire.Metrics;
   ok {|{"op":"stats"}|} None (Serve.Wire.Stats Serve.Wire.Stats_json);
   ok {|{"op":"stats","format":"json","id":4}|} (Some 4)
     (Serve.Wire.Stats Serve.Wire.Stats_json);
@@ -427,7 +426,12 @@ let test_wire_parse () =
       {|{"op":"stats","format":7}|};
       {|{"key":5}|};
       "not json";
-    ]
+    ];
+  match Serve.Wire.parse {|{"op":"metrics","id":9}|} with
+  | Error msg ->
+      Alcotest.(check string)
+        "metrics is an unknown op" {|unknown op "metrics"|} msg
+  | Ok _ -> Alcotest.fail "the metrics op is gone: stats carries its fields"
 
 (* {2 Telemetry} *)
 
@@ -452,7 +456,8 @@ let mk_totals =
     errors = 1; rounds = 9 }
 
 let mk_cluster_gauges =
-  { Serve.Telemetry.seq = 40; balls_total = 11; max_load = 3; watermark = 4 }
+  { Serve.Telemetry.seq = 40; balls_total = 11; max_load = 3; watermark = 4;
+    engine = Engine.Metrics.zero }
 
 let mk_shard_gauges s =
   { Serve.Telemetry.shard = s; bins = 8; balls = 5; shard_max_load = 2;
@@ -593,6 +598,45 @@ let test_cluster_stage_telemetry () =
   Alcotest.(check bool) "Apply stage recorded work" true
     (stage_count "apply" > 0)
 
+(* The engine counters of every shard reach both stats expositions. *)
+let test_stats_engine_counters () =
+  let cluster = Serve.Cluster.create (mk_config ~n:32 ~shards:2 ()) in
+  let events =
+    Array.append
+      (Array.init 20 (fun i -> Engine.Event.Insert i))
+      (Array.make 30 Engine.Event.Step)
+  in
+  ignore (Serve.Cluster.apply_batch cluster events);
+  let engine = Serve.Cluster.metrics cluster in
+  Alcotest.(check int) "every step counted" 30 engine.steps;
+  Alcotest.(check bool) "probes counted" true (engine.probes > 0);
+  Alcotest.(check bool) "draws counted" true (engine.rng_draws > 0);
+  let tel = Serve.Telemetry.create ~shards:2 in
+  let gauges = { mk_cluster_gauges with engine } in
+  let shards = [ mk_shard_gauges 0; mk_shard_gauges 1 ] in
+  let doc =
+    Experiment.Json.Obj
+      (Serve.Telemetry.report_json tel ~totals:mk_totals ~cluster:gauges
+         ~shards ~durability:None)
+  in
+  Alcotest.(check int) "json engine_steps" engine.steps
+    (jint doc "engine_steps");
+  Alcotest.(check int) "json engine_probes" engine.probes
+    (jint doc "engine_probes");
+  Alcotest.(check int) "json engine_rng_draws" engine.rng_draws
+    (jint doc "engine_rng_draws");
+  let text =
+    Serve.Telemetry.report_prom tel ~totals:mk_totals ~cluster:gauges ~shards
+      ~durability:None
+  in
+  List.iter
+    (fun (name, v) ->
+      let sample = Printf.sprintf "repro_serve_engine_%s_total %d\n" name v in
+      Alcotest.(check int) ("prom " ^ name) 1
+        (count_substring ~needle:sample text))
+    [ ("steps", engine.steps); ("probes", engine.probes);
+      ("rng_draws", engine.rng_draws) ]
+
 let test_store_durability_gauges () =
   with_dir (fun dir ->
       let config = mk_config ~n:16 ~shards:2 () in
@@ -693,6 +737,8 @@ let suite =
       test_cluster_stage_telemetry;
     Alcotest.test_case "store durability gauges" `Quick
       test_store_durability_gauges;
+    Alcotest.test_case "stats carries the engine counters" `Quick
+      test_stats_engine_counters;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [

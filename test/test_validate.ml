@@ -224,7 +224,8 @@ let corrupted_abku2_subject ~n ~m =
         let i = Prng.Rng.int g n and j = Prng.Rng.int g n in
         let winner = if i > j then i else j in
         let off_by_one = if winner + 1 < n then winner + 1 else winner in
-        ignore (Mv.incr_at v off_by_one))
+        ignore (Mv.incr_at v off_by_one);
+        0)
       ~observe:(fun () -> Mv.to_load_vector v)
       ~reset:(fun lv -> Mv.set_from_load_vector v lv)
       ~probe:(fun () -> Mv.max_load v)
