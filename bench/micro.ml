@@ -395,16 +395,12 @@ let fused_mixing ctx =
        (Markov.Blocked_csr.nnz (Markov.Exact.blocked chain)));
   Ctx.emit ctx table
 
-(* The blocked-CSR kernel across block sizes and pool sizes, plus the
-   streaming-build story: with [~spill] the builder's working set is one
-   block, so the peak heap of a build stays flat while the in-memory
-   build holds the whole matrix.  Every kernel variant must match the
-   one-block sequential product bitwise — block boundaries do not change
-   the row-major summation order, and the column-owner-computes split
-   makes the pooled product deterministic — so the table doubles as a
-   parity check.  Note: wall-clock speedup from the pool needs real
-   cores; on a single-CPU host the domains>1 rows mostly measure
-   barrier overhead. *)
+(* The blocked-CSR kernel across block sizes, plus the streaming-build
+   story: with [~spill] the builder's working set is one block, so the
+   peak heap of a build stays flat while the in-memory build holds the
+   whole matrix.  Every block layout must match the one-block product
+   bitwise — block boundaries do not change the row-major summation
+   order — so the table doubles as a parity check. *)
 let blocked_spmv ctx =
   Printf.printf "\n#### Micro — blocked spmv, streaming build peak\n%!";
   let n = 30 in
@@ -413,34 +409,46 @@ let blocked_spmv ctx =
   in
   let states = Markov.Partition_space.enumerate ~n ~m:n in
   let transitions = Core.Dynamic_process.exact_transitions process in
-  let top_heap () = (Gc.quick_stat ()).Gc.top_heap_words in
-  (* Spill-first ordering: the spilled build runs against the lower
-     high-water mark, so its delta reflects its own (flat) peak rather
-     than the in-memory build's. *)
+  (* A build's own peak live heap.  [top_heap_words] is a process-wide
+     high-water mark that the larger builds of earlier sections have
+     already raised, so it cannot see this build, and the heap size
+     itself swings with uncollected garbage.  Instead, every 64 rows
+     (an eighth of a block) and once the build returns, a full major
+     collection leaves only live words, and the largest growth over
+     the words live before the build is its peak. *)
+  let build_peak ?spill () =
+    let live () =
+      Gc.full_major ();
+      (Gc.stat ()).Gc.live_words
+    in
+    let live0 = live () in
+    let peak = ref live0 and rows = ref 0 in
+    let transitions s =
+      if !rows land 63 = 0 then peak := Stdlib.max !peak (live ());
+      incr rows;
+      transitions s
+    in
+    let chain =
+      Markov.Exact_builder.build ~block_rows:512 ?spill
+        (Markov.Exact_builder.enumerated states)
+        ~transitions
+    in
+    peak := Stdlib.max !peak (live ());
+    (chain, !peak - live0)
+  in
   let spill_path = Filename.temp_file "micro_bcsr" ".blk" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove spill_path with Sys_error _ -> ())
     (fun () ->
-      Gc.compact ();
-      let t0 = top_heap () in
-      let spilled =
-        Markov.Exact_builder.build ~block_rows:512 ~spill:spill_path
-          (Markov.Exact_builder.enumerated states)
-          ~transitions
-      in
-      let spill_peak = top_heap () - t0 in
-      let t1 = top_heap () in
-      let chain =
-        Markov.Exact_builder.build ~block_rows:512
-          (Markov.Exact_builder.enumerated states)
-          ~transitions
-      in
-      let mem_peak = top_heap () - t1 in
+      let spilled, spill_peak = build_peak ~spill:spill_path () in
+      Markov.Blocked_csr.close (Markov.Exact.blocked spilled);
+      let chain, mem_peak = build_peak () in
       let bcsr = Markov.Exact.blocked chain in
       let nnz = Markov.Blocked_csr.nnz bcsr in
       let build_table =
         Ctx.table ctx ~title:"streaming build peak heap"
-          ~columns:[ "build"; "|Omega|"; "nnz"; "peak heap growth (words)" ]
+          ~columns:
+            [ "build"; "|Omega|"; "nnz"; "peak live heap growth (words)" ]
       in
       let build_row name peak =
         Ctx.row build_table
@@ -459,10 +467,12 @@ let blocked_spmv ctx =
       in
       build_row "spill (one block resident)" spill_peak;
       build_row "in-memory (all blocks)" mem_peak;
+      Ctx.note build_table
+        (Printf.sprintf "spilled / in-memory peak = %.2f"
+           (float_of_int spill_peak /. float_of_int mem_peak));
       Ctx.emit ctx build_table;
-      Markov.Blocked_csr.close (Markov.Exact.blocked spilled);
-      (* spmv parity + cost across layouts and pool sizes, against the
-         one-block sequential kernel. *)
+      (* spmv parity + cost across layouts, against the one-block
+         product. *)
       let size = Array.length states in
       let src = Array.make size (1. /. float_of_int size) in
       let budget = 0.2 in
@@ -476,50 +486,38 @@ let blocked_spmv ctx =
       Markov.Blocked_csr.spmv (Markov.Blocked_csr.kernel one_block) ~src
         ~dst:expect;
       let table =
-        Ctx.table ctx ~title:"blocked spmv by blocks and domains"
-          ~columns:[ "kernel"; "blocks"; "domains"; "us/spmv"; "vs 1 block" ]
+        Ctx.table ctx ~title:"blocked spmv by blocks"
+          ~columns:[ "kernel"; "blocks"; "us/spmv"; "vs 1 block" ]
       in
       let base_s = ref nan in
       List.iter
-        (fun (b, block_rows) ->
-          List.iter
-            (fun domains ->
-              let run_with kernel =
-                let dst = Array.make size 0. in
-                Markov.Blocked_csr.spmv kernel ~src ~dst;
-                if not (Array.for_all2 Float.equal dst expect) then
-                  failwith "micro: blocked spmv disagrees with one block";
-                time_calls ~budget (fun () ->
-                    Markov.Blocked_csr.spmv kernel ~src ~dst)
-              in
-              let seconds =
-                if domains = 1 then run_with (Markov.Blocked_csr.kernel b)
-                else
-                  Parallel.Pool.with_pool ~domains (fun pool ->
-                      run_with (Markov.Blocked_csr.kernel ~pool b))
-              in
-              if Float.is_nan !base_s then base_s := seconds;
-              let blocks = Markov.Blocked_csr.block_count b in
-              Ctx.row table
-                ~values:
-                  [
-                    ("blocks", float_of_int blocks);
-                    ("domains", float_of_int domains);
-                    ("us_per_spmv", seconds *. 1e6);
-                  ]
-                [
-                  "blocked CSR";
-                  string_of_int blocks;
-                  string_of_int domains;
-                  Printf.sprintf "%.1f" (seconds *. 1e6);
-                  Printf.sprintf "%.2fx" (!base_s /. seconds);
-                ])
-            (if block_rows >= size then [ 1 ] else [ 1; 2; 4 ]))
-        [ (one_block, size); (bcsr, 512) ];
+        (fun b ->
+          let kernel = Markov.Blocked_csr.kernel b in
+          let dst = Array.make size 0. in
+          Markov.Blocked_csr.spmv kernel ~src ~dst;
+          if not (Array.for_all2 Float.equal dst expect) then
+            failwith "micro: blocked spmv disagrees with one block";
+          let seconds =
+            time_calls ~budget (fun () ->
+                Markov.Blocked_csr.spmv kernel ~src ~dst)
+          in
+          if Float.is_nan !base_s then base_s := seconds;
+          let blocks = Markov.Blocked_csr.block_count b in
+          Ctx.row table
+            ~values:
+              [
+                ("blocks", float_of_int blocks);
+                ("us_per_spmv", seconds *. 1e6);
+              ]
+            [
+              "blocked CSR";
+              string_of_int blocks;
+              Printf.sprintf "%.1f" (seconds *. 1e6);
+              Printf.sprintf "%.2fx" (!base_s /. seconds);
+            ])
+        [ one_block; bcsr ];
       Ctx.note table
-        "all kernels verified bitwise against the one-block sequential \
-         product; pooled rows need >1 physical core to show wall-clock \
-         speedup";
+        "every layout verified bitwise against the one-block product";
       Ctx.emit ctx table)
 
 (* Evidence for the Obs overhead contract: while tracing is disabled,

@@ -340,8 +340,9 @@ let exact_cmd =
   let domains =
     Arg.(value & opt int 1
          & info [ "domains" ] ~docv:"N"
-             ~doc:"Worker domains for the mixing search; the result is \
-                   identical for any value.")
+             ~doc:"Worker domains the mixing search fans its batches of \
+                   starts out over; a checkpointed search runs on one \
+                   domain.  The result is identical for any value.")
   in
   let block_rows =
     Arg.(value & opt (some int) None

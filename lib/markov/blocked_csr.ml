@@ -351,83 +351,25 @@ let is_stochastic ?(tol = 1e-9) t =
 
 (* {2 Kernels}
 
-   [dst <- src · P] plus optionally a fused L1 statistic, deterministic
-   for {e any} pool size.  Parallelism is column-owner-computes: the
-   columns are cut into fixed-width chunks (a property of the matrix,
-   not of the pool), each worker owns a contiguous chunk range, writes
-   only the dst entries in it, and accumulates each dst entry over rows
-   in increasing global row order — exactly the order the sequential
-   row-major scatter uses, so every dst value is bit-identical to the
-   sequential result.  Fused statistics are likewise summed per chunk
-   and then across chunks in chunk order on the caller's domain, making
-   residuals and TV values independent of the domain count too. *)
+   [dst <- src · P] by one sequential row-major scatter over the blocks,
+   optionally fused with an L1 statistic.  The statistic is summed per
+   fixed-width column chunk, in ascending index order within the chunk,
+   and the chunk partials are then summed in chunk order.  That is the
+   summation order behind every committed tau, golden output and
+   checkpoint; a single running sum would change the last bits. *)
 
 let chunk_cols = 1024
 
-type stat = No_stat | L1_diff | Tv of float array
+type kernel = { mat : t; nchunks : int }
 
-type kernel = {
-  mat : t;
-  pool : Parallel.Pool.t option;
-  nchunks : int;
-  ranges : int array; (* length workers+1; worker w owns chunks [r.(w), r.(w+1)) *)
-  chunk_stat : float array; (* per-chunk partials of the fused statistic *)
-}
+let in_memory t =
+  Array.for_all (function Mem _ -> true | Disk _ -> false) t.blocks
 
-(* Cut the chunks into [workers] contiguous ranges of roughly equal
-   nnz, so a matrix whose mass concentrates in a few column bands still
-   splits evenly. *)
-let balance_ranges ~nchunks ~workers per_chunk_nnz =
-  let total = Array.fold_left ( + ) 0 per_chunk_nnz in
-  let ranges = Array.make (workers + 1) 0 in
-  if total = 0 then
-    for w = 0 to workers do
-      ranges.(w) <- nchunks * w / workers
-    done
-  else begin
-    let c = ref 0 and acc = ref 0 in
-    for w = 1 to workers - 1 do
-      let target = total * w / workers in
-      while !c < nchunks && !acc + per_chunk_nnz.(!c) <= target do
-        acc := !acc + per_chunk_nnz.(!c);
-        incr c
-      done;
-      ranges.(w) <- !c
-    done;
-    ranges.(workers) <- nchunks
-  end;
-  ranges
-
-let all_mem t = Array.for_all (function Mem _ -> true | Disk _ -> false) t.blocks
-let in_memory = all_mem
-
-let kernel ?pool mat =
-  let nchunks = Stdlib.max 1 ((mat.cols + chunk_cols - 1) / chunk_cols) in
-  (* A pool only helps when every shard is resident: disk shards are
-     streamed through one shared channel and stay on the sequential
-     path. *)
-  let pool =
-    match pool with
-    | Some p when Parallel.Pool.size p > 1 && all_mem mat -> Some p
-    | _ -> None
-  in
-  let workers = match pool with Some p -> Parallel.Pool.size p | None -> 1 in
-  let per_chunk = Array.make nchunks 0 in
-  if workers > 1 then
-    Array.iter
-      (function
-        | Mem s ->
-            Array.iter
-              (fun j ->
-                per_chunk.(j / chunk_cols) <- per_chunk.(j / chunk_cols) + 1)
-              s.col_idx
-        | Disk _ -> ())
-      mat.blocks;
-  let ranges = balance_ranges ~nchunks ~workers per_chunk in
-  { mat; pool; nchunks; ranges; chunk_stat = Array.make nchunks 0. }
+let kernel mat =
+  { mat; nchunks = Stdlib.max 1 ((mat.cols + chunk_cols - 1) / chunk_cols) }
 
 (* Sequential row-major scatter over the blocks, streaming any disk
-   shard; the reference order every parallel variant reproduces. *)
+   shard. *)
 let seq_spmv t ~src ~dst =
   Array.fill dst 0 t.cols 0.;
   for b = 0 to block_count t - 1 do
@@ -445,116 +387,33 @@ let seq_spmv t ~src ~dst =
         done)
   done
 
-(* Worker slice: fill and accumulate the dst entries in column range
-   [j0, j1), reading every block but touching only the columns it owns.
-   For each row a binary search finds where the range starts in the
-   row's sorted columns; entries are then consumed sequentially.  Each
-   dst entry is owned by exactly one worker and accumulated over rows in
-   increasing global order — the same per-entry summation order as
-   {!seq_spmv}, hence bit-identical results for any pool size. *)
-let slice_spmv mat ~src ~dst ~j0 ~j1 =
-  Array.fill dst j0 (j1 - j0) 0.;
-  Array.iteri
-    (fun b st ->
-      match st with
-      | Disk _ -> assert false
-      | Mem s ->
-          let row0 = b * mat.block_rows in
-          let rp = s.row_ptr and ci = s.col_idx and vs = s.values in
-          let nrows = Array.length rp - 1 in
-          for r = 0 to nrows - 1 do
-            let v = Array.unsafe_get src (row0 + r) in
-            if v <> 0. then begin
-              let kend = Array.unsafe_get rp (r + 1) in
-              let lo = ref (Array.unsafe_get rp r) and hi = ref kend in
-              if j0 > 0 then
-                while !lo < !hi do
-                  let mid = (!lo + !hi) / 2 in
-                  if Array.unsafe_get ci mid < j0 then lo := mid + 1
-                  else hi := mid
-                done;
-              let k = ref !lo in
-              let continue_ = ref (!k < kend) in
-              while !continue_ do
-                let j = Array.unsafe_get ci !k in
-                if j >= j1 then continue_ := false
-                else begin
-                  Array.unsafe_set dst j
-                    (Array.unsafe_get dst j +. (v *. Array.unsafe_get vs !k));
-                  incr k;
-                  if !k >= kend then continue_ := false
-                end
-              done
-            end
-          done)
-    mat.blocks
+(* [‖dst − against‖₁] in the chunked summation order described above. *)
+let chunked_l1 k ~against ~dst =
+  let total = ref 0. in
+  for c = 0 to k.nchunks - 1 do
+    let acc = ref 0. in
+    let j1 = Int.min k.mat.cols ((c + 1) * chunk_cols) in
+    for j = c * chunk_cols to j1 - 1 do
+      acc :=
+        !acc +. Float.abs (Array.unsafe_get dst j -. Array.unsafe_get against j)
+    done;
+    total := !total +. !acc
+  done;
+  !total
 
-let chunk_bounds mat c =
-  (c * chunk_cols, Stdlib.min mat.cols ((c + 1) * chunk_cols))
-
-let chunk_stat_value ~stat ~src ~dst ~j0 ~j1 =
-  match stat with
-  | No_stat -> 0.
-  | L1_diff ->
-      let acc = ref 0. in
-      for j = j0 to j1 - 1 do
-        acc :=
-          !acc +. Float.abs (Array.unsafe_get dst j -. Array.unsafe_get src j)
-      done;
-      !acc
-  | Tv pi ->
-      let acc = ref 0. in
-      for j = j0 to j1 - 1 do
-        acc :=
-          !acc +. Float.abs (Array.unsafe_get dst j -. Array.unsafe_get pi j)
-      done;
-      !acc
-
-(* Fused product: dst <- src · P, returning the requested L1 statistic.
-   The statistic is accumulated per fixed-width chunk (in ascending
-   index order within the chunk) and the chunk partials are summed in
-   chunk order on the caller's domain — both the chunk width and the
-   summation order are properties of the matrix alone, so the value is
-   identical for any pool size, including the sequential path. *)
-let run k ~stat ~src ~dst =
-  let mat = k.mat in
-  if Array.length src <> mat.rows || Array.length dst <> mat.cols then
+let spmv k ~src ~dst =
+  if Array.length src <> k.mat.rows || Array.length dst <> k.mat.cols then
     invalid_arg "Blocked_csr.spmv: dimension mismatch";
   Obs.Counter.incr spmv_counter;
-  let stat_chunks ~c0 ~c1 =
-    match stat with
-    | No_stat -> ()
-    | _ ->
-        for c = c0 to c1 - 1 do
-          let j0, j1 = chunk_bounds mat c in
-          k.chunk_stat.(c) <- chunk_stat_value ~stat ~src ~dst ~j0 ~j1
-        done
-  in
-  (match k.pool with
-  | None ->
-      seq_spmv mat ~src ~dst;
-      stat_chunks ~c0:0 ~c1:k.nchunks
-  | Some pool ->
-      Parallel.Pool.run pool (fun w _ ->
-          let c0 = k.ranges.(w) and c1 = k.ranges.(w + 1) in
-          if c1 > c0 then begin
-            let j0 = c0 * chunk_cols
-            and j1 = Stdlib.min mat.cols (c1 * chunk_cols) in
-            slice_spmv mat ~src ~dst ~j0 ~j1;
-            stat_chunks ~c0 ~c1
-          end));
-  match stat with
-  | No_stat -> 0.
-  | _ ->
-      let total = ref 0. in
-      for c = 0 to k.nchunks - 1 do
-        total := !total +. k.chunk_stat.(c)
-      done;
-      !total
+  seq_spmv k.mat ~src ~dst
 
-let spmv k ~src ~dst = ignore (run k ~stat:No_stat ~src ~dst)
-let step_l1 k ~src ~dst = run k ~stat:L1_diff ~src ~dst
-let step_tv k ~pi ~src ~dst = run k ~stat:(Tv pi) ~src ~dst /. 2.
+let step_l1 k ~src ~dst =
+  spmv k ~src ~dst;
+  chunked_l1 k ~against:src ~dst
+
+let step_tv k ~pi ~src ~dst =
+  spmv k ~src ~dst;
+  chunked_l1 k ~against:pi ~dst /. 2.
 
 (* {2 Multi-vector fused products}
 
@@ -608,64 +467,6 @@ let seq_batch t ~srcs ~dsts ~nb =
         done)
   done
 
-(* Batched worker slice: the column-owner-computes split of
-   {!slice_spmv}, with the same vector-outermost replay of each row's
-   owned entry range as {!seq_batch}.  [any] gates the binary
-   search to [j0] (one per row, shared by the batch); the per-vector
-   scan then walks the L1-hot entries until it leaves the owned
-   column range. *)
-let slice_batch mat ~srcs ~dsts ~nb ~j0 ~j1 =
-  for b = 0 to nb - 1 do
-    Array.fill dsts.(b) j0 (j1 - j0) 0.
-  done;
-  Array.iteri
-    (fun blk st ->
-      match st with
-      | Disk _ -> assert false
-      | Mem s ->
-          let row0 = blk * mat.block_rows in
-          let rp = s.row_ptr and ci = s.col_idx and vs = s.values in
-          let nrows = Array.length rp - 1 in
-          for r = 0 to nrows - 1 do
-            let row = row0 + r in
-            let any = ref false in
-            for b = 0 to nb - 1 do
-              if Array.unsafe_get (Array.unsafe_get srcs b) row <> 0. then
-                any := true
-            done;
-            if !any then begin
-              let kend = Array.unsafe_get rp (r + 1) in
-              let lo = ref (Array.unsafe_get rp r) and hi = ref kend in
-              if j0 > 0 then
-                while !lo < !hi do
-                  let mid = (!lo + !hi) / 2 in
-                  if Array.unsafe_get ci mid < j0 then lo := mid + 1
-                  else hi := mid
-                done;
-              let k0 = !lo in
-              for b = 0 to nb - 1 do
-                let sv = Array.unsafe_get (Array.unsafe_get srcs b) row in
-                if sv <> 0. then begin
-                  let d = Array.unsafe_get dsts b in
-                  let k = ref k0 in
-                  let continue_ = ref (k0 < kend) in
-                  while !continue_ do
-                    let j = Array.unsafe_get ci !k in
-                    if j >= j1 then continue_ := false
-                    else begin
-                      Array.unsafe_set d j
-                        (Array.unsafe_get d j
-                        +. (sv *. Array.unsafe_get vs !k));
-                      incr k;
-                      if !k >= kend then continue_ := false
-                    end
-                  done
-                end
-              done
-            end
-          done)
-    mat.blocks
-
 let step_tv_multi k ~pi ~srcs ~dsts =
   let mat = k.mat in
   let nb = Array.length srcs in
@@ -681,37 +482,6 @@ let step_tv_multi k ~pi ~srcs ~dsts =
       then invalid_arg "Blocked_csr.spmv: dimension mismatch"
     done;
     Obs.Counter.incr spmv_counter;
-    (* Per-chunk, per-vector partials: chunk c of vector b lives at
-       [c * nb + b], written by the (unique) worker owning chunk c. *)
-    let chunk_stat = Array.make (k.nchunks * nb) 0. in
-    let stat = Tv pi in
-    let stat_chunks ~c0 ~c1 =
-      for c = c0 to c1 - 1 do
-        let j0, j1 = chunk_bounds mat c in
-        for b = 0 to nb - 1 do
-          chunk_stat.((c * nb) + b) <-
-            chunk_stat_value ~stat ~src:srcs.(b) ~dst:dsts.(b) ~j0 ~j1
-        done
-      done
-    in
-    (match k.pool with
-    | None ->
-        seq_batch mat ~srcs ~dsts ~nb;
-        stat_chunks ~c0:0 ~c1:k.nchunks
-    | Some pool ->
-        Parallel.Pool.run pool (fun w _ ->
-            let c0 = k.ranges.(w) and c1 = k.ranges.(w + 1) in
-            if c1 > c0 then begin
-              let j0 = c0 * chunk_cols
-              and j1 = Stdlib.min mat.cols (c1 * chunk_cols) in
-              slice_batch mat ~srcs ~dsts ~nb ~j0 ~j1;
-              stat_chunks ~c0 ~c1
-            end));
-    let totals = Array.make nb 0. in
-    for c = 0 to k.nchunks - 1 do
-      for b = 0 to nb - 1 do
-        totals.(b) <- totals.(b) +. chunk_stat.((c * nb) + b)
-      done
-    done;
-    Array.map (fun s -> s /. 2.) totals
+    seq_batch mat ~srcs ~dsts ~nb;
+    Array.map (fun dst -> chunked_l1 k ~against:pi ~dst /. 2.) dsts
   end

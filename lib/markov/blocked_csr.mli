@@ -1,5 +1,5 @@
 (** Blocked CSR transition-matrix store with streaming builds, optional
-    disk spill, and deterministic block-parallel kernels.
+    disk spill, and one sequential product kernel.
 
     The matrix is cut into fixed row-range blocks, each a compact CSR
     shard.  Shards either stay in memory or append to a disk-backed
@@ -9,12 +9,11 @@
     order — exactly what a BFS enumeration produces, since state [i]'s
     row is fully determined when [i] is dequeued.
 
-    Kernels compute [dst ← src · P], optionally fused with an L1
-    statistic (power-iteration residual, TV distance to π).  With a
-    {!Parallel.Pool} the product is block-parallel with a
-    column-owner-computes split whose results — including the fused
-    statistics — are bit-identical to the sequential path for any
-    domain count. *)
+    Kernels compute [dst ← src · P] by a row-major scatter over the
+    blocks, optionally fused with an L1 statistic (power-iteration
+    residual, TV distance to π).  Each product runs on the calling
+    domain; callers parallelise across independent vectors instead (see
+    {!Exact}). *)
 
 type t
 
@@ -32,9 +31,10 @@ val path : t -> string option
     disk. *)
 
 val in_memory : t -> bool
-(** Whether every shard is resident.  Disk-backed matrices stream
-    through one shared channel and are not safe to read from several
-    domains at once. *)
+(** Whether every shard is resident.  An in-memory matrix and its
+    {!kernel} are read-only in use, so several domains may run products
+    on them at once.  Disk-backed matrices stream through one shared
+    channel and must be read from one domain at a time. *)
 
 val close : t -> unit
 (** Close the backing file, if any.  The matrix must not be used
@@ -76,24 +76,23 @@ val is_stochastic : ?tol:float -> t -> bool
 (** {1 Kernels} *)
 
 type kernel
-(** A matrix prepared for repeated products: owns the column-chunk
-    partition, the per-worker ranges (balanced by per-chunk nnz) and the
-    fused-statistic scratch. *)
+(** A matrix prepared for repeated products: the matrix and its
+    fixed-width column-chunk partition, which fixes the summation order
+    of the fused statistics. *)
 
-val kernel : ?pool:Parallel.Pool.t -> t -> kernel
-(** Prepare [t] for repeated products.  The pool is used only when its
-    size exceeds 1 and every shard is in memory; disk-backed matrices
-    always stream sequentially (one shard resident at a time). *)
+val kernel : t -> kernel
+(** Prepare [t] for repeated products.  Disk-backed matrices stream one
+    shard at a time. *)
 
 val spmv : kernel -> src:float array -> dst:float array -> unit
-(** [dst ← src · P].  Bit-identical for any pool size.
+(** [dst ← src · P], each [dst] entry accumulated over rows in
+    increasing index order.
     @raise Invalid_argument on dimension mismatch. *)
 
 val step_l1 : kernel -> src:float array -> dst:float array -> float
 (** Fused power-iteration step: [dst ← src · P], returning
-    [‖dst − src‖₁].  The statistic is accumulated per fixed-width column
-    chunk and reduced in chunk order, so it too is identical for any
-    pool size. *)
+    [‖dst − src‖₁].  The statistic is accumulated per fixed 1024-column
+    chunk and the chunk partials are summed in chunk order. *)
 
 val step_tv :
   kernel -> pi:float array -> src:float array -> dst:float array -> float
@@ -115,7 +114,7 @@ val step_tv_multi :
     instead of once per vector.  Every [dsts.(b)] and every returned
     statistic is bit-identical to the corresponding single-vector
     {!step_tv} call (same contribution skips, same per-entry summation
-    order, same chunk-order reduction), for any pool size.  See
+    order, same chunk-order reduction).  See
     [DESIGN.md], "The representation layer".
     @raise Invalid_argument if [srcs] and [dsts] differ in length or any
     vector has the wrong dimension. *)

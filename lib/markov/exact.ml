@@ -2,7 +2,7 @@ type 'state t = {
   states : 'state array;
   find : 'state -> int option;
   bcsr : Blocked_csr.t;
-  kernel : Blocked_csr.kernel; (* sequential kernel, shared (read-only in use) *)
+  kernel : Blocked_csr.kernel; (* read-only; fans out only when in memory *)
   mutable pi : (float array * float) option; (* cached stationary, with its tol *)
 }
 
@@ -57,16 +57,8 @@ let l1_diff a b =
 (* TV between a dense distribution and pi, without allocating. *)
 let tv_to_pi pi d = l1_diff pi d /. 2.
 
-(* The kernel products are driven through: the chain's own sequential
-   kernel, or a pool-parallel one prepared for the given pool.  Results
-   are bit-identical either way (see {!Blocked_csr}). *)
-let kernel_for c = function
-  | None -> c.kernel
-  | Some pool -> Blocked_csr.kernel ~pool c.bcsr
-
-(* Multi-domain access (pooled kernels, per-start fan-outs) is only safe
-   when every shard is resident: disk-backed shards stream through one
-   shared channel. *)
+(* Per-start fan-outs are only safe when every shard is resident:
+   disk-backed shards stream through one shared channel. *)
 let fan_out_safe c = Blocked_csr.in_memory c.bcsr
 
 let fingerprint_matches c (s : Exact_checkpoint.snapshot) =
@@ -122,8 +114,7 @@ let power_stationary ~tol ~max_iter ~n ?resume ?on_progress step =
 
 (* Shared cached π: reused when it was computed at a tolerance at least
    as tight as the requested one. *)
-let stationary_cached ?(tol = 1e-12) ?(max_iter = 1_000_000) ?pool ?checkpoint c
-    =
+let stationary_cached ?(tol = 1e-12) ?(max_iter = 1_000_000) ?checkpoint c =
   match c.pi with
   | Some (pi, cached_tol) when cached_tol <= tol -> pi
   | _ ->
@@ -150,7 +141,6 @@ let stationary_cached ?(tol = 1e-12) ?(max_iter = 1_000_000) ?pool ?checkpoint c
                 }))
           checkpoint
       in
-      let k = kernel_for c pool in
       let sp =
         if Obs.enabled () then
           Obs.begin_span "exact.stationary"
@@ -159,21 +149,14 @@ let stationary_cached ?(tol = 1e-12) ?(max_iter = 1_000_000) ?pool ?checkpoint c
       in
       let pi, iters =
         power_stationary ~tol ~max_iter ~n:(size c) ?resume ?on_progress
-          (fun ~src ~dst -> Blocked_csr.step_l1 k ~src ~dst)
+          (fun ~src ~dst -> Blocked_csr.step_l1 c.kernel ~src ~dst)
       in
       Obs.end_span ~args:[ ("iterations", Obs.Int iters) ] sp;
       c.pi <- Some (pi, tol);
       pi
 
-let stationary ?tol ?max_iter ?domains ?checkpoint c =
-  let solve pool = stationary_cached ?tol ?max_iter ?pool ?checkpoint c in
-  let pi =
-    match domains with
-    | Some d when d > 1 && fan_out_safe c ->
-        Parallel.Pool.with_pool ~domains:d (fun pool -> solve (Some pool))
-    | _ -> solve None
-  in
-  Array.copy pi
+let stationary ?tol ?max_iter ?domains:_ c =
+  Array.copy (stationary_cached ?tol ?max_iter c)
 
 let distribution_after c ~start t =
   if t < 0 then invalid_arg "Exact.distribution_after: negative t";
@@ -260,7 +243,6 @@ let worst_tv_profile ?domains ?(drop_below = 0.) ?starts c ~max_t =
   let per_batch =
     Parallel.map_array ?domains
       (fun batch ->
-        let kern = Blocked_csr.kernel c.bcsr in
         let m = Array.length batch in
         let tvs = Array.init m (fun _ -> Array.make (max_t + 1) 0.) in
         let cur = point_masses ~n batch in
@@ -286,7 +268,7 @@ let worst_tv_profile ?domains ?(drop_below = 0.) ?starts c ~max_t =
         while !nact > 0 && !t <= max_t do
           let srcs = Array.init !nact (fun p -> cur.(act.(p))) in
           let dsts = Array.init !nact (fun p -> nxt.(act.(p))) in
-          let ds = Blocked_csr.step_tv_multi kern ~pi ~srcs ~dsts in
+          let ds = Blocked_csr.step_tv_multi c.kernel ~pi ~srcs ~dsts in
           let w = ref 0 in
           for p = 0 to !nact - 1 do
             let i = act.(p) in
@@ -361,7 +343,7 @@ let relaxation_estimate ?domains ?starts c ?(max_t = 200) () =
    state change: (t_base, lo, hi, base) is exactly the loop state, so a
    resumed search continues the same trajectory.  [resume] re-enters the
    search at such a bracket, skipping the pruning phase. *)
-let search_crossing ~kern c ~pi ~eps ~max_t ~tau_hat ?save ?resume start =
+let search_crossing c ~pi ~eps ~max_t ~tau_hat ?save ?resume start =
   let n = size c in
   let base = ref (Array.make n 0.) in
   let w1 = ref (Array.make n 0.) in
@@ -370,7 +352,7 @@ let search_crossing ~kern c ~pi ~eps ~max_t ~tau_hat ?save ?resume start =
   let t_base = ref 0 in
   let lo = ref 0 in
   let hi = ref 0 in
-  let step ~src ~dst = Blocked_csr.step_tv kern ~pi ~src ~dst in
+  let step ~src ~dst = Blocked_csr.step_tv c.kernel ~pi ~src ~dst in
   let probe target =
     let tv = ref (step ~src:!base ~dst:!w1) in
     for _ = 2 to target - !t_base do
@@ -505,7 +487,7 @@ let search_crossing ~kern c ~pi ~eps ~max_t ~tau_hat ?save ?resume start =
    TVs are bit-identical to the single-vector pruning probe's, so the
    certification decisions — and through them the final τ — match the
    unbatched search exactly. *)
-let batch_prune ~kern c ~pi ~eps ~max_t ~tau_hat batch =
+let batch_prune c ~pi ~eps ~max_t ~tau_hat batch =
   let n = size c in
   let m = Array.length batch in
   let guess = Stdlib.min (Atomic.get tau_hat) max_t in
@@ -524,7 +506,7 @@ let batch_prune ~kern c ~pi ~eps ~max_t ~tau_hat batch =
     incr t;
     let srcs = Array.init !nact (fun p -> cur.(act.(p))) in
     let dsts = Array.init !nact (fun p -> nxt.(act.(p))) in
-    let ds = Blocked_csr.step_tv_multi kern ~pi ~srcs ~dsts in
+    let ds = Blocked_csr.step_tv_multi c.kernel ~pi ~srcs ~dsts in
     let w = ref 0 in
     for p = 0 to !nact - 1 do
       let i = act.(p) in
@@ -541,188 +523,165 @@ let batch_prune ~kern c ~pi ~eps ~max_t ~tau_hat batch =
   Obs.end_span ~args:[ ("survivors", Obs.Int !nact) ] sp;
   Array.to_list (Array.init !nact (fun p -> batch.(act.(p))))
 
+(* Checkpointed search: the starts run one after another on the calling
+   domain, so the snapshot is a single well-defined cursor — the
+   completed crossings plus the in-flight start's bracket. *)
+let resumable_search c ~sink ~mix0 ~pi ~pi_tol ~eps ~max_t ~tau_hat order =
+  let completed =
+    ref (match mix0 with Some m -> m.Exact_checkpoint.completed | None -> [])
+  in
+  let inflight0 = match mix0 with Some m -> m.inflight | None -> None in
+  let snapshot ?inflight () =
+    {
+      Exact_checkpoint.states = size c;
+      nnz = Blocked_csr.nnz c.bcsr;
+      phase =
+        Mixing
+          {
+            eps;
+            pi_tol;
+            pi = Array.copy pi;
+            tau_hat = Atomic.get tau_hat;
+            completed = !completed;
+            inflight;
+          };
+    }
+  in
+  (* Mark the phase transition: a kill between π and the first crossing
+     then resumes into the mixing phase directly. *)
+  if Option.is_none mix0 then Exact_checkpoint.commit sink (snapshot ());
+  let best = ref 1 in
+  Array.iter
+    (fun start ->
+      let tau =
+        match List.assoc_opt start !completed with
+        | Some t -> t
+        | None ->
+            let resume =
+              match inflight0 with
+              | Some i when i.Exact_checkpoint.start = start -> Some i
+              | _ -> None
+            in
+            let save ~t_base ~lo ~hi ~base =
+              Exact_checkpoint.offer sink (fun () ->
+                  snapshot
+                    ~inflight:
+                      {
+                        Exact_checkpoint.start;
+                        t_base;
+                        lo;
+                        hi;
+                        base = Array.copy base;
+                      }
+                    ())
+            in
+            let tau =
+              search_crossing c ~pi ~eps ~max_t ~tau_hat ~save ?resume start
+            in
+            completed := (start, tau) :: !completed;
+            Exact_checkpoint.offer sink (fun () -> snapshot ());
+            tau
+      in
+      if tau > !best then best := tau)
+    order;
+  Exact_checkpoint.commit sink (snapshot ());
+  !best
+
+(* Fused-batch search: the farthest-from-π start is searched exactly
+   first, so the shared bound is tight from the outset; the remaining
+   starts are then certified against it in fused batches — one matrix
+   traversal per time step serves a whole batch — and the rare survivors
+   (starts that can still raise the maximum) get exact individual
+   searches.  τ is identical to the one-start-at-a-time search:
+   certified starts provably cannot raise the maximum, and every
+   survivor's exact crossing bumps the shared bound.  The batches fan
+   out over domains when every shard is resident; the probe schedule
+   still depends on the shared bound, so span counts may vary across
+   runs, but the final τ does not. *)
+let batched_search c ~pi ~eps ~max_t ~tau_hat ~domains order =
+  let first = search_crossing c ~pi ~eps ~max_t ~tau_hat order.(0) in
+  let rest = Array.sub order 1 (Array.length order - 1) in
+  let batches = chunk_starts (multi_batch c) rest in
+  let survivors =
+    if Array.length batches = 0 then [||]
+    else begin
+      (* One trace track per batch, reserved before the fan-out so the
+         merged trace groups each batch's probes together regardless of
+         which domain ran it. *)
+      let track0 =
+        if Obs.enabled () then Obs.task_base ~count:(Array.length batches)
+        else 0
+      in
+      Parallel.map_array
+        ~domains:(if fan_out_safe c then domains else 1)
+        (fun (g, batch) ->
+          Obs.in_task (track0 + g) (fun () ->
+              batch_prune c ~pi ~eps ~max_t ~tau_hat batch))
+        (Array.mapi (fun g batch -> (g, batch)) batches)
+    end
+  in
+  let best = ref (max 1 first) in
+  Array.iter
+    (List.iter (fun start ->
+         let tau = search_crossing c ~pi ~eps ~max_t ~tau_hat start in
+         if tau > !best then best := tau))
+    survivors;
+  max !best (Atomic.get tau_hat)
+
 let mixing_time_impl ~eps ~max_t ~domains ?starts ?checkpoint c =
   let n = size c in
   let starts = resolve_starts ~what:"mixing_time" c starts in
-  let nnz = Blocked_csr.nnz c.bcsr in
-  (* A checkpointed search runs the starts sequentially so the snapshot
-     is a single well-defined cursor; pooled products keep the domains
-     busy instead.  Either way the answer is identical (see above). *)
-  let sequential = Option.is_some checkpoint || Array.length starts <= 2 in
-  let body pool =
-    (* Restore a matching mixing snapshot before π is computed: it
-       carries the converged π, so a resumed run skips the solve. *)
-    let mix0 =
-      match checkpoint with
-      | None -> None
-      | Some sink -> (
-          match Exact_checkpoint.resume sink with
-          | Some ({ phase = Mixing m; _ } as s)
-            when fingerprint_matches c s && m.eps = eps ->
-              Some m
-          | _ -> None)
-    in
-    (match mix0 with
-    | Some m -> c.pi <- Some (m.pi, m.pi_tol)
-    | None -> ());
-    let pi_tol = 1e-12 in
-    let pi = stationary_cached ~tol:pi_tol ?pool ?checkpoint c in
-    (* TV of the point mass at [start] against π. *)
-    let tv0 start =
-      let acc = ref 0. in
-      for j = 0 to n - 1 do
-        acc := !acc +. if j = start then Float.abs (1. -. pi.(j)) else pi.(j)
-      done;
-      !acc /. 2.
-    in
-    let tv0s = Array.map tv0 starts in
-    let worst0 = Array.fold_left Float.max 0. tv0s in
-    if worst0 <= eps then 0
-    else if max_t < 1 then failwith "Exact.mixing_time: not mixed within max_t"
-    else begin
-      (* Only starts still above ε at t = 0 can determine τ; visit the
-         farthest-from-π ones first so the shared lower bound is tight
-         early and most remaining starts are pruned after one probe. *)
-      let order =
-        Array.to_list (Array.mapi (fun k start -> (k, start)) starts)
-        |> List.filter (fun (k, _) -> tv0s.(k) > eps)
-        |> List.sort (fun (ka, a) (kb, b) ->
-               match Float.compare tv0s.(kb) tv0s.(ka) with
-               | 0 -> Int.compare a b
-               | c -> c)
-        |> List.map snd |> Array.of_list
-      in
-      let tau_hat =
-        Atomic.make
-          (match mix0 with Some m -> max 1 m.tau_hat | None -> 1)
-      in
-      if sequential then begin
-        let kern = kernel_for c pool in
-        let completed =
-          ref (match mix0 with Some m -> m.completed | None -> [])
-        in
-        let inflight0 = match mix0 with Some m -> m.inflight | None -> None in
-        let snapshot ?inflight () =
-          {
-            Exact_checkpoint.states = n;
-            nnz;
-            phase =
-              Mixing
-                {
-                  eps;
-                  pi_tol;
-                  pi = Array.copy pi;
-                  tau_hat = Atomic.get tau_hat;
-                  completed = !completed;
-                  inflight;
-                };
-          }
-        in
-        (* Mark the phase transition: a kill between π and the first
-           crossing then resumes into the mixing phase directly. *)
-        (match (checkpoint, mix0) with
-        | Some sink, None -> Exact_checkpoint.commit sink (snapshot ())
-        | _ -> ());
-        let best = ref 1 in
-        Array.iter
-          (fun start ->
-            let tau =
-              match List.assoc_opt start !completed with
-              | Some t -> t
-              | None ->
-                  let resume =
-                    match inflight0 with
-                    | Some i when i.Exact_checkpoint.start = start -> Some i
-                    | _ -> None
-                  in
-                  let save =
-                    Option.map
-                      (fun sink ~t_base ~lo ~hi ~base ->
-                        Exact_checkpoint.offer sink (fun () ->
-                            snapshot
-                              ~inflight:
-                                {
-                                  Exact_checkpoint.start;
-                                  t_base;
-                                  lo;
-                                  hi;
-                                  base = Array.copy base;
-                                }
-                              ()))
-                      checkpoint
-                  in
-                  let tau =
-                    search_crossing ~kern c ~pi ~eps ~max_t ~tau_hat ?save
-                      ?resume start
-                  in
-                  completed := (start, tau) :: !completed;
-                  (match checkpoint with
-                  | Some sink ->
-                      Exact_checkpoint.offer sink (fun () -> snapshot ())
-                  | None -> ());
-                  tau
-            in
-            if tau > !best then best := tau)
-          order;
-        (match checkpoint with
-        | Some sink -> Exact_checkpoint.commit sink (snapshot ())
-        | None -> ());
-        !best
-      end
-      else begin
-        (* Fused-batch search: the farthest-from-π start is searched
-           exactly first, so the shared bound is tight from the outset;
-           the remaining starts are then certified against it in fused
-           batches — one matrix traversal per time step serves a whole
-           batch — and the rare survivors (starts that can still raise
-           the maximum) get exact individual searches.  τ is identical
-           to the unbatched per-start fan-out: certified starts provably
-           cannot raise the maximum, and every survivor's exact crossing
-           bumps the shared bound.  (Batches fan out over domains when
-           every shard is resident; the probe *schedule* still depends
-           on the shared bound, so span counts may vary across runs; the
-           final τ does not.) *)
-        let kern = Blocked_csr.kernel c.bcsr in
-        let first = search_crossing ~kern c ~pi ~eps ~max_t ~tau_hat order.(0) in
-        let rest = Array.sub order 1 (Array.length order - 1) in
-        let batches = chunk_starts (multi_batch c) rest in
-        let batch_domains = if fan_out_safe c then domains else 1 in
-        let survivors =
-          if Array.length batches = 0 then [||]
-          else begin
-            (* One trace track per batch, reserved before the fan-out so
-               the merged trace groups each batch's probes together
-               regardless of which domain ran it. *)
-            let track0 =
-              if Obs.enabled () then
-                Obs.task_base ~count:(Array.length batches)
-              else 0
-            in
-            Parallel.map_array ~domains:batch_domains
-              (fun (g, batch) ->
-                Obs.in_task (track0 + g) (fun () ->
-                    let kern = Blocked_csr.kernel c.bcsr in
-                    batch_prune ~kern c ~pi ~eps ~max_t ~tau_hat batch))
-              (Array.mapi (fun g batch -> (g, batch)) batches)
-          end
-        in
-        let best = ref (max 1 first) in
-        Array.iter
-          (List.iter (fun start ->
-               let tau =
-                 search_crossing ~kern c ~pi ~eps ~max_t ~tau_hat start
-               in
-               if tau > !best then best := tau))
-          survivors;
-        max !best (Atomic.get tau_hat)
-      end
-    end
+  (* Restore a matching mixing snapshot before π is computed: it carries
+     the converged π, so a resumed run skips the solve. *)
+  let mix0 =
+    match checkpoint with
+    | None -> None
+    | Some sink -> (
+        match Exact_checkpoint.resume sink with
+        | Some ({ phase = Mixing m; _ } as s)
+          when fingerprint_matches c s && m.eps = eps ->
+            Some m
+        | _ -> None)
   in
-  (* Pooled products only pay off once the vectors span several column
-     chunks; below that the per-product barrier dominates. *)
-  if sequential && domains > 1 && fan_out_safe c && n > 1024 then
-    Parallel.Pool.with_pool ~domains (fun pool -> body (Some pool))
-  else body None
+  (match mix0 with
+  | Some m -> c.pi <- Some (m.pi, m.pi_tol)
+  | None -> ());
+  let pi_tol = 1e-12 in
+  let pi = stationary_cached ~tol:pi_tol ?checkpoint c in
+  (* TV of the point mass at [start] against π. *)
+  let tv0 start =
+    let acc = ref 0. in
+    for j = 0 to n - 1 do
+      acc := !acc +. if j = start then Float.abs (1. -. pi.(j)) else pi.(j)
+    done;
+    !acc /. 2.
+  in
+  let tv0s = Array.map tv0 starts in
+  let worst0 = Array.fold_left Float.max 0. tv0s in
+  if worst0 <= eps then 0
+  else if max_t < 1 then failwith "Exact.mixing_time: not mixed within max_t"
+  else begin
+    (* Only starts still above ε at t = 0 can determine τ; visit the
+       farthest-from-π ones first so the shared lower bound is tight
+       early and most remaining starts are pruned after one probe. *)
+    let order =
+      Array.to_list (Array.mapi (fun k start -> (k, start)) starts)
+      |> List.filter (fun (k, _) -> tv0s.(k) > eps)
+      |> List.sort (fun (ka, a) (kb, b) ->
+             match Float.compare tv0s.(kb) tv0s.(ka) with
+             | 0 -> Int.compare a b
+             | c -> c)
+      |> List.map snd |> Array.of_list
+    in
+    let tau_hat =
+      Atomic.make (match mix0 with Some m -> max 1 m.tau_hat | None -> 1)
+    in
+    (* The sink alone picks the schedule; τ is the same either way. *)
+    match checkpoint with
+    | Some sink ->
+        resumable_search c ~sink ~mix0 ~pi ~pi_tol ~eps ~max_t ~tau_hat order
+    | None -> batched_search c ~pi ~eps ~max_t ~tau_hat ~domains order
+  end
 
 let mixing_time ?(eps = 0.25) ?(max_t = 100_000) ?domains ?starts ?checkpoint c
     =

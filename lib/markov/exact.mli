@@ -11,14 +11,13 @@
     of the paper's Section 3.  All per-start quantities evolve
     distribution {e vectors} by repeated fused sparse products rather
     than materialising dense powers [P^t]; the stationary distribution
-    is computed once per chain and cached.  Two axes of parallelism are
-    available, both with results identical for any domain count:
-    per-start sweeps fan out over {!Parallel.map_array}, and the
-    products themselves can run block-parallel over a {!Parallel.Pool}
-    (used automatically by {!mixing_time} when few starts are searched).
-    Long solves checkpoint through {!Exact_checkpoint} sinks and resume
-    to bit-identical answers.  Only enumerable state spaces are in
-    reach.
+    is computed once per chain and cached.  Each product is one
+    sequential {!Blocked_csr} kernel call; parallelism is coarse-grained
+    only, with batches of starts fanned out over {!Parallel.map_array}
+    (per-start TV profiles and the batched mixing search), and results
+    identical for any domain count.  Long solves checkpoint through
+    {!Exact_checkpoint} sinks and resume to bit-identical answers.  Only
+    enumerable state spaces are in reach.
 
     A chain value caches its stationary distribution and must not be
     shared across domains while these functions run on it. *)
@@ -67,7 +66,6 @@ val stationary :
   ?tol:float ->
   ?max_iter:int ->
   ?domains:int ->
-  ?checkpoint:Exact_checkpoint.sink ->
   'state t ->
   float array
 (** Stationary distribution by power iteration from the uniform
@@ -76,10 +74,10 @@ val stationary :
     gap-corrected projection of the true error to fall below [tol], so
     slowly-mixing chains are not declared converged early.  The result
     is cached on the chain and reused whenever the cached tolerance is
-    at least as tight as the requested one.  With [domains > 1] the
-    products run block-parallel (bit-identical result).  With a
-    [checkpoint] sink the in-progress iterate is snapshotted
-    periodically and resumed from on restart.
+    at least as tight as the requested one.  [domains] has no effect:
+    power iteration runs one sequential product per step.  The
+    checkpointed solve is reached through {!mixing_time}'s
+    [checkpoint] sink.
     @raise Failure if the iteration does not converge — e.g. for a
     periodic chain. *)
 
@@ -142,16 +140,16 @@ val mixing_time :
     since it cannot raise the maximum.
 
     [starts] restricts the maximum to the given state indices (default:
-    all states — the definition above).  [domains] parallelises either
-    across starts (many starts) or inside each product over a
-    {!Parallel.Pool} (few starts, or when checkpointing); the result is
-    identical for any value.
+    all states — the definition above).  Without a checkpoint sink the
+    farthest start is searched exactly and the others are certified
+    against it in fused batches, which [domains] fans out across; the
+    result is identical for any value.
 
-    With a [checkpoint] sink the search runs its starts sequentially and
-    snapshots the stationary iterate, completed crossings and in-flight
-    bracket; a killed run resumed with the same sink (matching chain
-    fingerprint and ε) skips completed work and returns the bit-identical
-    τ.
+    With a [checkpoint] sink the search runs its starts one after
+    another on one domain, whatever [domains] says, and snapshots the
+    stationary iterate, completed crossings and in-flight bracket; a
+    killed run resumed with the same sink (matching chain fingerprint
+    and ε) skips completed work and returns the bit-identical τ.
     @raise Failure if not mixed within [max_t].
     @raise Invalid_argument if [domains < 1], or [starts] is empty or
     out of range. *)

@@ -462,7 +462,7 @@ let test_blocked_multi_bitwise () =
           Array.blit single_nxt.(v) 0 single_cur.(v) 0 n
         done
       done)
-    [ 1; 2; 3; 7 ]
+    [ 1; 2; 3; 7; 16 ]
 
 let test_blocked_killed_build_rejected () =
   let path = Filename.temp_file "bcsr" ".blk" in
@@ -660,6 +660,82 @@ let test_mixing_checkpoint_resume_file () =
       Alcotest.(check int) "resumed tau identical" tau
         (Markov.Exact.mixing_time ~eps:0.01 ~checkpoint:sink2 c2))
 
+(* The product bits behind every committed tau, golden output and
+   checkpoint, pinned as IEEE-754 literals on Id-ABKU[2] with n = m = 24:
+   1575 states, so the fused statistics reduce over two 1024-column
+   chunks.  Each tau variant builds a fresh chain, so its stationary
+   solve runs on the domain count and sink under test. *)
+let test_product_bits_pinned () =
+  let n = 24 in
+  let chain () =
+    build
+      (Markov.Partition_space.enumerate ~n ~m:n)
+      ~transitions:
+        (Core.Dynamic_process.exact_transitions
+           (Core.Dynamic_process.make Core.Scenario.A
+              (Core.Scheduling_rule.abku 2) ~n))
+  in
+  let c = chain () in
+  let all_in_one = Markov.Exact.index c (Lv.all_in_one ~n ~m:n) in
+  let uniform = Markov.Exact.index c (Lv.uniform ~n ~m:n) in
+  let extremal = [| all_in_one; uniform |] in
+  let check_bits what expect got =
+    Alcotest.(check (list int64))
+      what expect
+      (List.map Int64.bits_of_float (Array.to_list got))
+  in
+  let check_pi what c =
+    let pi = Markov.Exact.stationary c in
+    check_bits what
+      [ 3686700749718267650L; 4509155129947971600L ]
+      [| pi.(all_in_one); pi.(uniform) |]
+  in
+  Alcotest.(check int) "two column chunks" 1575 (Markov.Exact.size c);
+  check_pi "pi at all-in-one, uniform" c;
+  check_bits "extremal profile"
+    [
+      4607182418800017273L; 4607182418800017270L; 4607182418800017270L;
+      4607182418800017270L; 4607182418800017270L; 4607182418800017270L;
+      4607182418800017270L; 4607182418800017270L; 4607182418800017270L;
+    ]
+    (Markov.Exact.worst_tv_profile ~starts:extremal c ~max_t:8);
+  check_bits "uniform-start profile"
+    [
+      4607182416150947212L; 4607182058357399339L; 4607171677396882818L;
+      4607057841715799666L; 4606468092844073794L; 4605580691983317421L;
+      4604682066816763018L; 4604081012785764311L; 4603386735262448533L;
+    ]
+    (Markov.Exact.worst_tv_profile ~domains:2 ~starts:[| uniform |] c
+       ~max_t:8);
+  (* The eight highest-π states: one fused batch of eight vectors. *)
+  check_bits "top-pi batch profile"
+    [
+      4606677419927611823L; 4604979158735352704L; 4603672999383088646L;
+      4602673790235902638L; 4601364610782840950L; 4600443917886223477L;
+      4599615394519846301L; 4598885547410780849L; 4598245046228039075L;
+    ]
+    (Markov.Exact.worst_tv_profile ~domains:2
+       ~starts:[| 1568; 1569; 1567; 1556; 1557; 1555; 1570; 1566 |]
+       c ~max_t:8);
+  List.iter
+    (fun domains ->
+      List.iter
+        (fun sink ->
+          let what =
+            Printf.sprintf "domains=%d%s" domains
+              (if sink then " checkpointed" else "")
+          in
+          let c = chain () in
+          let checkpoint =
+            if sink then Some (fst (Ck.memory_sink ())) else None
+          in
+          Alcotest.(check int)
+            ("tau " ^ what) 56
+            (Markov.Exact.mixing_time ~domains ~starts:extremal ?checkpoint c);
+          check_pi ("pi after tau, " ^ what) c)
+        [ false; true ])
+    [ 1; 2 ]
+
 let suite =
   List.map (fun (n, f) -> Alcotest.test_case n `Quick f)
     [
@@ -700,4 +776,5 @@ let suite =
       ("checkpoint file roundtrip", test_checkpoint_file_roundtrip);
       ("checkpoint sink throttle", test_checkpoint_sink_throttle);
       ("mixing checkpoint resume via file", test_mixing_checkpoint_resume_file);
+      ("product bits pinned (n=24, two chunks)", test_product_bits_pinned);
     ]

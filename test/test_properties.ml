@@ -274,11 +274,12 @@ let qcheck_go_left_places_everything =
 let qcheck_blocked_spmv_agrees =
   (* The blocked store against the dense oracle on random stochastic
      matrices with irregular row fill, at block sizes 1, n and one drawn
-     at random — n = 1500 runs past the column-chunk width so the pooled
-     split actually partitions work.  The pooled kernel must be
-     bit-identical to the sequential one (the column-owner-computes
-     guarantee), and both within float noise of the dense product. *)
-  QCheck.Test.make ~name:"blocked spmv = dense oracle (random blocks, pooled)"
+     at random — n = 1500 runs past the 1024-column chunk width, so the
+     fused statistic sums more than one chunk.  The product must be
+     within float noise of the dense one, and [step_l1]'s statistic
+     within 1e-12 (relative, once it exceeds 1) of ‖dst − src‖₁ summed
+     directly: the chunked sum groups terms differently. *)
+  QCheck.Test.make ~name:"blocked spmv = dense oracle (random blocks)"
     ~count:40
     QCheck.(pair small_int (oneofl [ 2; 3; 7; 19; 1500 ]))
     (fun (seed, n) ->
@@ -305,24 +306,13 @@ let qcheck_blocked_spmv_agrees =
           Array.iter (Markov.Blocked_csr.add_row bld) rows;
           let b = Markov.Blocked_csr.finish bld ~cols:n in
           let dst = Array.make n nan in
-          let k_seq = Markov.Blocked_csr.kernel b in
-          let r_seq = Markov.Blocked_csr.step_l1 k_seq ~src ~dst in
-          let close =
-            Array.for_all2
-              (fun a b -> Float.abs (a -. b) <= 1e-12)
-              dst expect
+          let r =
+            Markov.Blocked_csr.step_l1 (Markov.Blocked_csr.kernel b) ~src ~dst
           in
-          let dst_par = Array.make n nan in
-          let bitwise =
-            Parallel.Pool.with_pool ~domains:3 (fun pool ->
-                let k_par = Markov.Blocked_csr.kernel ~pool b in
-                let r_par =
-                  Markov.Blocked_csr.step_l1 k_par ~src ~dst:dst_par
-                in
-                Float.equal r_seq r_par
-                && Array.for_all2 Float.equal dst dst_par)
-          in
-          close && bitwise)
+          let l1 = ref 0. in
+          Array.iteri (fun j d -> l1 := !l1 +. Float.abs (d -. src.(j))) dst;
+          Array.for_all2 (fun a b -> Float.abs (a -. b) <= 1e-12) dst expect
+          && Float.abs (r -. !l1) <= 1e-12 *. Float.max 1. !l1)
         [ 1; 1 + Prng.Rng.int g n; n ])
 
 exception Killed
