@@ -55,8 +55,11 @@ let run ctx =
   let n = Ctx.scale ctx ~quick:16 ~full:32 in
   let m = 2 * n in
   let p = Core.Open_process.make (Sr.abku 2) ~n in
+  (* The closure counts the steps the profile simulates. *)
+  let steps = ref 0 in
   let chain =
     Markov.Chain.make (fun g v ->
+        incr steps;
         Core.Open_process.step_normalized p g v;
         v)
   in
@@ -69,12 +72,12 @@ let run ctx =
      buckets of width m/8 to keep the finite-sample bias of the
      empirical-TV estimator small. *)
   let bucket v = Mv.total v * 8 / m in
+  let times = times 1 [] and reps = Ctx.scale ctx ~quick:800 ~full:2000 in
   let profile =
     Markov.Empirical.decay_profile chain ~rng
       ~x0:(fun () -> Mv.of_load_vector (Lv.all_in_one ~n ~m))
       ~y0:(fun () -> Mv.of_load_vector (Lv.of_array (Array.make n 0)))
-      ~times:(times 1 []) ~reps:(Ctx.scale ctx ~quick:800 ~full:2000)
-      ~observable:bucket
+      ~times ~reps ~observable:bucket
   in
   let tv_table =
     Ctx.table ctx
@@ -92,6 +95,12 @@ let run ctx =
   Ctx.note tv_table
     "the distributions merge at ~m^2 steps, well before samplewise \
      coalescence: the distributional question the paper poses is easier";
+  Ctx.note tv_table
+    (Printf.sprintf
+       "chain steps simulated: %d (%d reps x 2 starts, one trajectory each \
+        to t = %d)"
+       !steps reps (List.fold_left max 0 times));
+  Ctx.set_extra ctx "tv_steps" (Experiment.Json.Int !steps);
   Ctx.emit ctx tv_table
 
 let spec =

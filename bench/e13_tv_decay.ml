@@ -18,12 +18,17 @@ let run ctx =
   let n = Ctx.scale ctx ~quick:64 ~full:128 in
   let m = n in
   let reps = Ctx.scale ctx ~quick:500 ~full:2000 in
+  let tv_steps = ref [] in
   List.iter
     (fun (scenario, scale_name, scale) ->
       let process = Core.Dynamic_process.make scenario (Sr.abku 2) ~n in
-      (* Chain over mutable state; Empirical copies the start per run. *)
+      let name = Core.Dynamic_process.name process in
+      (* Chain over mutable state; Empirical copies the start per run.
+         The closure counts the steps the profile simulates. *)
+      let steps = ref 0 in
       let chain =
         Markov.Chain.make (fun g v ->
+            incr steps;
             Core.Dynamic_process.step_in_place process g v;
             v)
       in
@@ -43,9 +48,7 @@ let run ctx =
       let table =
         Ctx.table ctx
           ~title:
-            (Printf.sprintf "E13: TV(max load at t) for %s, n = m = %d"
-               (Core.Dynamic_process.name process)
-               n)
+            (Printf.sprintf "E13: TV(max load at t) for %s, n = m = %d" name n)
           ~columns:[ "t"; "estimated TV" ]
       in
       List.iter
@@ -66,11 +69,18 @@ let run ctx =
                scale_name t tv
                (if tv <= 0.25 then "<=" else "> !! VIOLATION of"))
       | None -> ());
+      Ctx.note table
+        (Printf.sprintf
+           "chain steps simulated: %d (%d reps x 2 starts, one trajectory \
+            each to t = %d)"
+           !steps reps (List.fold_left max 0 times));
+      tv_steps := (name, Experiment.Json.Int !steps) :: !tv_steps;
       Ctx.emit ctx table)
     [
       (Core.Scenario.A, "Theorem 1", Theory.Bounds.theorem1 ~m ~eps:0.25);
       (Core.Scenario.B, "m^2 ln m", Theory.Bounds.scenario_b_improved ~m);
-    ]
+    ];
+  Ctx.set_extra ctx "tv_steps" (Experiment.Json.Obj (List.rev !tv_steps))
 
 let spec =
   Experiment.Spec.v ~id:"e13"

@@ -72,16 +72,24 @@ let run ctx =
   let n = Ctx.scale ctx ~quick:64 ~full:128 in
   let m = n in
   let reps = Ctx.scale ctx ~quick:400 ~full:2000 in
+  let tv_steps = ref [] in
   List.iter
     (fun (rule, key) ->
       let p = Rbb.make rule ~n in
+      (* The closure counts the steps the profile simulates. *)
+      let steps = ref 0 and round = (Rbb.chain p).Markov.Chain.step in
+      let chain =
+        Markov.Chain.make (fun g lv ->
+            incr steps;
+            round g lv)
+      in
       let bound = int_of_float (Theory.Bounds.rbb_mixing ~n ~m) in
       let rng = Ctx.rng ctx ~experiment:(250_000 + (key * 10_000)) in
       let times =
         List.sort_uniq compare (bound :: geometric_times (2 * bound))
       in
       let profile =
-        Markov.Empirical.decay_profile (Rbb.chain p) ~rng
+        Markov.Empirical.decay_profile chain ~rng
           ~x0:(fun () -> Lv.all_in_one ~n ~m)
           ~y0:(fun () -> Lv.uniform ~n ~m)
           ~times ~reps ~observable:Lv.max_load
@@ -108,8 +116,15 @@ let run ctx =
                t tv
                (if tv <= 0.25 then "<=" else "> !! VIOLATION of"))
       | None -> ());
+      Ctx.note table
+        (Printf.sprintf
+           "chain steps simulated: %d (%d reps x 2 starts, one trajectory \
+            each to t = %d)"
+           !steps reps (List.fold_left max 0 times));
+      tv_steps := (Rbb.name p, Experiment.Json.Int !steps) :: !tv_steps;
       Ctx.emit ctx table)
-    rules
+    rules;
+  Ctx.set_extra ctx "tv_steps" (Experiment.Json.Obj (List.rev !tv_steps))
 
 let spec =
   Experiment.Spec.v ~id:"e25"

@@ -447,7 +447,9 @@ let tv seed n m scenario rule reps =
   in
   Printf.printf
     "TV distance of the max-load law, adversarial vs balanced start\n";
-  Printf.printf "process %s, n = %d, m = %d, %d runs per point\n\n"
+  Printf.printf
+    "process %s, n = %d, m = %d, %d trajectories per start, each sampled at \
+     every grid time\n\n"
     (Core.Dynamic_process.name process) n m reps;
   Printf.printf "%10s  %s\n" "t" "TV estimate";
   List.iter (fun (t, tv) -> Printf.printf "%10d  %.3f\n" t tv) profile;
@@ -455,7 +457,7 @@ let tv seed n m scenario rule reps =
 
 let tv_cmd =
   let reps =
-    Arg.(value & opt int 500 & info [ "reps" ] ~docv:"REPS" ~doc:"Runs per point.")
+    Arg.(value & opt int 500 & info [ "reps" ] ~docv:"REPS" ~doc:"Trajectories per start.")
   in
   Cmd.v
     (Cmd.info "tv" ~doc:"Empirical total-variation decay profile")

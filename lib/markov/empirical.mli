@@ -24,8 +24,9 @@ val observable_tv :
   float
 (** [observable_tv chain ~rng ~x0 ~y0 ~t ~reps ~observable] estimates
     [‖L(f(X_t) | X_0 = x0 ()) − L(f(Y_t) | Y_0 = y0 ())‖] from [reps]
-    independent runs of each chain.  The initial states are thunks so
-    that chains over mutable state get a fresh copy per run.
+    independent runs of each chain: the one-point case of
+    {!decay_profile}.  The initial states are thunks so that chains over
+    mutable state get a fresh copy per run.
     @raise Invalid_argument if [reps <= 0] or [t < 0]. *)
 
 val decay_profile :
@@ -37,5 +38,15 @@ val decay_profile :
   reps:int ->
   observable:('state -> int) ->
   (int * float) list
-(** [(t, estimated TV)] for each requested time, fresh runs per time
-    point (no reuse, so estimates are independent). *)
+(** [(t, estimated TV)] for each requested time, in the order of
+    [times].  For each start, each of the [reps] repetitions splits one
+    generator off [rng] (all of [y0]'s repetitions first, then [x0]'s)
+    and runs a single trajectory up to the largest requested time,
+    reading the observable at every requested time it passes.  The state
+    at time [t] is exactly the one [t] fresh steps from a copy of that
+    repetition's generator reach, so each time point's marginal law is
+    unchanged; the estimates at different times are correlated, since
+    they share trajectories.  Duplicate times share one sample, and a
+    single time gives {!observable_tv}'s value bit for bit.
+    @raise Invalid_argument if [reps <= 0] or a time is negative, before
+    any step is simulated. *)

@@ -90,7 +90,26 @@ let test_markov_errors () =
            ~rng:(g ())
            ~x0:(fun () -> 0)
            ~y0:(fun () -> 0)
-           ~t:1 ~reps:0 ~observable:(fun s -> s)))
+           ~t:1 ~reps:0 ~observable:(fun s -> s)));
+  (* decay_profile checks every argument before its first step. *)
+  let steps = ref 0 in
+  let profile ~times ~reps () =
+    ignore
+      (Markov.Empirical.decay_profile
+         (Markov.Chain.make (fun _ s ->
+              incr steps;
+              s))
+         ~rng:(g ())
+         ~x0:(fun () -> 0)
+         ~y0:(fun () -> 0)
+         ~times ~reps ~observable:(fun s -> s))
+  in
+  inv "Empirical.decay_profile: reps must be positive"
+    (profile ~times:[] ~reps:0);
+  inv "Empirical.decay_profile: reps must be positive"
+    (profile ~times:[ 5; 40 ] ~reps:0);
+  inv "Empirical.decay_profile: negative t" (profile ~times:[ 5; 40; -1 ] ~reps:3);
+  Alcotest.(check int) "no step before the argument checks" 0 !steps
 
 let test_coupling_errors () =
   inv "Coalescence.time: negative limit" (fun () ->

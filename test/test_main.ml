@@ -5,6 +5,7 @@ let () =
       ("stats", Test_stats.suite);
       ("loadvec", Test_loadvec.suite);
       ("markov", Test_markov.suite);
+      ("empirical", Test_empirical.suite);
       ("engine", Test_engine.suite);
       ("obs", Test_obs.suite);
       ("coupling", Test_coupling.suite);
