@@ -158,32 +158,59 @@ let sim_repr ?metrics ?(repr = Repr.Array_backed) t start =
   | Repr.Count_sampled, Scheduling_rule.Abku d ->
       sim_counts_sampled ?metrics t (Cv.of_load_vector start) ~d
 
-let exact_transitions t lv =
-  let loads = Lv.to_array lv in
-  let removal = Scenario.removal_distribution t.scenario ~loads in
-  (* Group removal ranks by load value: within a value class every rank
-     yields the same normalized successor (Fact 3.2). *)
-  let out = ref [] in
-  let nranks = Array.length loads in
-  let i = ref 0 in
-  while !i < nranks do
-    let v_i = loads.(!i) in
-    let j = ref !i in
-    let p_class = ref 0. in
-    while !j < nranks && loads.(!j) = v_i do
-      p_class := !p_class +. removal.(!j);
-      incr j
+let exact_transitions t =
+  (* ABKU's insertion law reads only n, not the loads: one table serves
+     every state and every removal class. *)
+  let abku_law =
+    match t.rule with
+    | Scheduling_rule.Abku _ ->
+        Some
+          (Scheduling_rule.rank_distribution t.rule ~loads:(Array.make t.n 0))
+    | Scheduling_rule.Adap _ -> None
+  in
+  fun lv ->
+    if Lv.dim lv <> t.n then
+      invalid_arg "Dynamic_process.exact_transitions: dimension mismatch";
+    let loads = Lv.to_array lv in
+    let removal = Scenario.removal_distribution t.scenario ~loads in
+    (* Group removal ranks by load value: within a value class every rank
+       yields the same normalized successor (Fact 3.2). *)
+    let out = ref [] in
+    let nranks = Array.length loads in
+    let i = ref 0 in
+    while !i < nranks do
+      let v_i = loads.(!i) in
+      let j = ref !i in
+      let p_class = ref 0. in
+      while !j < nranks && loads.(!j) = v_i do
+        p_class := !p_class +. removal.(!j);
+        incr j
+      done;
+      let p_class = !p_class in
+      if p_class > 0. then begin
+        let after_removal = Lv.ominus lv !i in
+        let insertion =
+          match abku_law with
+          | Some law -> law
+          | None ->
+              Scheduling_rule.rank_distribution t.rule
+                ~loads:(Lv.to_array after_removal)
+        in
+        (* Insertion ranks of one value class of [after_removal] share one
+           successor array, built at the class's first positive rank. *)
+        let succ = ref after_removal and succ_load = ref (-1) in
+        for r = 0 to Array.length insertion - 1 do
+          let p_ins = insertion.(r) in
+          if p_ins > 0. then begin
+            let l = Lv.get after_removal r in
+            if l <> !succ_load then begin
+              succ := Lv.oplus after_removal r;
+              succ_load := l
+            end;
+            out := (!succ, p_class *. p_ins) :: !out
+          end
+        done
+      end;
+      i := !j
     done;
-    if !p_class > 0. then begin
-      let after_removal = Lv.ominus lv !i in
-      let loads' = Lv.to_array after_removal in
-      let insertion = Scheduling_rule.rank_distribution t.rule ~loads:loads' in
-      Array.iteri
-        (fun r p_ins ->
-          if p_ins > 0. then
-            out := (Lv.oplus after_removal r, !p_class *. p_ins) :: !out)
-        insertion
-    end;
-    i := !j
-  done;
-  !out
+    !out

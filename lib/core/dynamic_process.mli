@@ -89,4 +89,9 @@ val sim_repr :
 val exact_transitions :
   t -> Loadvec.Load_vector.t -> (Loadvec.Load_vector.t * float) list
 (** Exact one-step law from a state, enumerating (removal rank class ×
-    insertion rank) outcomes.  Probabilities sum to 1. *)
+    insertion rank) outcomes.  Probabilities sum to 1.  Apply it to the
+    process once and reuse the closure: ABKU's insertion law is
+    computed there, once.  The insertion ranks of one value class share
+    one (physically equal) successor, which lets
+    {!Markov.Exact_builder.build} skip their repeated lookups.
+    @raise Invalid_argument on a dimension mismatch. *)

@@ -71,35 +71,62 @@ let sim ?metrics t v =
     ~probe:(fun () -> Mv.max_load v)
     ()
 
-let exact_transitions t lv =
+(* [(move lv r, scale *. law.(r))] for every rank [r] of positive mass,
+   in rank order.  [move] depends on [r] only through its value class
+   (Fact 3.2), so the ranks of one class share one successor array. *)
+let rank_outcomes lv law ~move ~scale =
   let module Lv = Loadvec.Load_vector in
-  if Lv.dim lv <> t.n then
-    invalid_arg "Open_process.exact_transitions: dimension mismatch";
-  (match t.capacity with
-  | Some c when Lv.total lv > c ->
-      invalid_arg "Open_process.exact_transitions: state above capacity"
-  | _ -> ());
-  let p = t.insert_probability in
-  let loads = Lv.to_array lv in
-  let insert_part =
-    if below_capacity t (Lv.total lv) then
-      Scheduling_rule.rank_distribution t.rule ~loads
-      |> Array.to_seqi
-      |> Seq.filter_map (fun (r, pr) ->
-             if pr > 0. then Some (Lv.oplus lv r, p *. pr) else None)
-      |> List.of_seq
-    else [ (lv, p) ]
+  let out = ref [] and succ = ref lv and succ_load = ref (-1) in
+  for r = Array.length law - 1 downto 0 do
+    let pr = law.(r) in
+    if pr > 0. then begin
+      let l = Lv.get lv r in
+      if l <> !succ_load then begin
+        succ := move lv r;
+        succ_load := l
+      end;
+      out := (!succ, scale *. pr) :: !out
+    end
+  done;
+  !out
+
+let exact_transitions t =
+  let module Lv = Loadvec.Load_vector in
+  (* ABKU's insertion law reads only n, not the loads. *)
+  let abku_law =
+    match t.rule with
+    | Scheduling_rule.Abku _ ->
+        Some
+          (Scheduling_rule.rank_distribution t.rule ~loads:(Array.make t.n 0))
+    | Scheduling_rule.Adap _ -> None
   in
-  let remove_part =
-    if Lv.total lv > 0 then
-      Scenario.removal_distribution Scenario.A ~loads
-      |> Array.to_seqi
-      |> Seq.filter_map (fun (r, pr) ->
-             if pr > 0. then Some (Lv.ominus lv r, (1. -. p) *. pr) else None)
-      |> List.of_seq
-    else [ (lv, 1. -. p) ]
-  in
-  insert_part @ remove_part
+  fun lv ->
+    if Lv.dim lv <> t.n then
+      invalid_arg "Open_process.exact_transitions: dimension mismatch";
+    (match t.capacity with
+    | Some c when Lv.total lv > c ->
+        invalid_arg "Open_process.exact_transitions: state above capacity"
+    | _ -> ());
+    let p = t.insert_probability in
+    let insert_part =
+      if below_capacity t (Lv.total lv) then
+        let law =
+          match abku_law with
+          | Some law -> law
+          | None ->
+              Scheduling_rule.rank_distribution t.rule ~loads:(Lv.to_array lv)
+        in
+        rank_outcomes lv law ~move:Lv.oplus ~scale:p
+      else [ (lv, p) ]
+    in
+    let remove_part =
+      if Lv.total lv > 0 then
+        rank_outcomes lv
+          (Scenario.removal_distribution Scenario.A ~loads:(Lv.to_array lv))
+          ~move:Lv.ominus ~scale:(1. -. p)
+      else [ (lv, 1. -. p) ]
+    in
+    insert_part @ remove_part
 
 let coupled t =
   let step g x y =

@@ -55,6 +55,9 @@ val exact_transitions :
     state).  Probabilities sum to 1; duplicate successors may appear and
     are merged by {!Markov.Exact_builder.build}.  With a capacity the state
     space — all vectors with at most [capacity] balls — is finite, so the
-    open system becomes exactly analysable (paper, Section 7).
+    open system becomes exactly analysable (paper, Section 7).  ABKU's
+    insertion law is computed once when [exact_transitions t] is
+    applied, so reuse that closure; the ranks of one value class share
+    one successor array.
     @raise Invalid_argument on a dimension mismatch or a state above
     capacity. *)

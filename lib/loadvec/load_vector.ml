@@ -22,6 +22,11 @@ let of_array a =
   Array.sort (fun x y -> Stdlib.compare y x) v;
   v
 
+let of_sorted a =
+  if not (is_normalized a) then
+    invalid_arg "Load_vector.of_sorted: not normalized";
+  Array.copy a
+
 let of_loads ~n loads =
   if List.length loads > n then
     invalid_arg "Load_vector.of_loads: more loads than bins";

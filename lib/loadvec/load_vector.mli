@@ -20,6 +20,11 @@ val of_array : int array -> t
 (** [of_array a] normalizes (sorts) a copy of [a].
     @raise Invalid_argument if [a] is empty or has a negative entry. *)
 
+val of_sorted : int array -> t
+(** [of_sorted a] is a copy of [a], which must already be normalized:
+    one O(n) check instead of {!of_array}'s sort.
+    @raise Invalid_argument unless {!is_normalized}[ a]. *)
+
 val of_loads : n:int -> int list -> t
 (** [of_loads ~n loads] places the listed loads into [n] bins, remaining
     bins empty.

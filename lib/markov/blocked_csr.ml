@@ -115,6 +115,9 @@ type builder = {
   mutable cur_ptr : int array; (* length target_block_rows + 1 *)
   mutable cur_col : int array; (* growable *)
   mutable cur_val : float array;
+  (* the row being added, before sorting; growable *)
+  mutable row_col : int array;
+  mutable row_val : float array;
 }
 
 let builder ?(block_rows = default_block_rows) ?spill () =
@@ -132,6 +135,8 @@ let builder ?(block_rows = default_block_rows) ?spill () =
     cur_ptr = Array.make (block_rows + 1) 0;
     cur_col = Array.make 64 0;
     cur_val = Array.make 64 0.;
+    row_col = Array.make 64 0;
+    row_val = Array.make 64 0.;
   }
 
 let spill_block b (s : shard) =
@@ -197,26 +202,121 @@ let ensure_entry_room b need =
     b.cur_val <- val'
   end
 
+(* {3 Row order}
+
+   A row's duplicate columns are summed in the order the row sort leaves
+   them in, and float addition is not associative, so that order is part
+   of the matrix bits.  It is the order of the stdlib's [Array.sort] (a
+   ternary heap sort, not stable) on [(column, value)] pairs compared by
+   column, which every committed spill file, tau and golden output was
+   built with.  [sort_row] is that heap sort, comparison for
+   comparison, on a parallel int/float pair of arrays: the same
+   permutation, without boxing an entry or calling a comparator.  The
+   stdlib's recursive helpers become loops and its [Bottom] exception a
+   [-1] child, so the entry being moved stays in registers. *)
+
+(* The largest of node [i]'s children in a heap of [l] entries — the
+   first such child among equal keys — or [-1] for a leaf. *)
+let maxson (keys : int array) l i =
+  let i31 = i + i + i + 1 in
+  if i31 + 2 < l then begin
+    let x = if keys.(i31) < keys.(i31 + 1) then i31 + 1 else i31 in
+    if keys.(x) < keys.(i31 + 2) then i31 + 2 else x
+  end
+  else if i31 + 1 < l && keys.(i31) < keys.(i31 + 1) then i31 + 1
+  else if i31 < l then i31
+  else -1
+
+let sort_row (keys : int array) (vals : float array) len =
+  if len < 0 || len > Array.length keys || len > Array.length vals then
+    invalid_arg "Blocked_csr.sort_row: length out of bounds";
+  (* Build the max-heap: sift each inner node down. *)
+  for i = ((len + 1) / 3) - 1 downto 0 do
+    let ek = keys.(i) and ev = vals.(i) in
+    let pos = ref i and sifting = ref true in
+    while !sifting do
+      let j = maxson keys len !pos in
+      if j >= 0 && keys.(j) > ek then begin
+        keys.(!pos) <- keys.(j);
+        vals.(!pos) <- vals.(j);
+        pos := j
+      end
+      else sifting := false
+    done;
+    keys.(!pos) <- ek;
+    vals.(!pos) <- ev
+  done;
+  (* Move the root to the end, pull the larger children up into the
+     hole down to a leaf, and sift the displaced entry up from there. *)
+  for i = len - 1 downto 2 do
+    let ek = keys.(i) and ev = vals.(i) in
+    keys.(i) <- keys.(0);
+    vals.(i) <- vals.(0);
+    let pos = ref 0 and j = ref (maxson keys i 0) in
+    while !j >= 0 do
+      keys.(!pos) <- keys.(!j);
+      vals.(!pos) <- vals.(!j);
+      pos := !j;
+      j := maxson keys i !pos
+    done;
+    let rising = ref true in
+    while !rising do
+      let father = (!pos - 1) / 3 in
+      if keys.(father) < ek then begin
+        keys.(!pos) <- keys.(father);
+        vals.(!pos) <- vals.(father);
+        pos := father;
+        if father = 0 then rising := false
+      end
+      else rising := false
+    done;
+    keys.(!pos) <- ek;
+    vals.(!pos) <- ev
+  done;
+  if len > 1 then begin
+    let ek = keys.(1) and ev = vals.(1) in
+    keys.(1) <- keys.(0);
+    vals.(1) <- vals.(0);
+    keys.(0) <- ek;
+    vals.(0) <- ev
+  end
+
+let ensure_row_room b need =
+  let cap = Array.length b.row_col in
+  if need > cap then begin
+    let cap' = ref (cap * 2) in
+    while !cap' < need do
+      cap' := !cap' * 2
+    done;
+    b.row_col <- Array.make !cap' 0;
+    b.row_val <- Array.make !cap' 0.
+  end
+
 (* Per row: sort by column, merge duplicates, drop exact zeros, so
    [nnz] counts structural non-zeros only. *)
 let add_row b entries =
-  let a = Array.of_list entries in
-  Array.iter
-    (fun (j, _) ->
-      if j < 0 then invalid_arg "Blocked_csr.add_row: negative column index";
-      if j > b.max_col then b.max_col <- j)
-    a;
-  Array.sort (fun (a, _) (b, _) -> compare (a : int) b) a;
+  ensure_row_room b (List.length entries);
+  let keys = b.row_col and vals = b.row_val in
+  let rec fill k = function
+    | [] -> k
+    | (j, v) :: rest ->
+        if j < 0 then invalid_arg "Blocked_csr.add_row: negative column index";
+        if j > b.max_col then b.max_col <- j;
+        keys.(k) <- j;
+        vals.(k) <- v;
+        fill (k + 1) rest
+  in
+  let k = fill 0 entries in
+  sort_row keys vals k;
   let base = b.cur_ptr.(b.cur_rows) in
-  ensure_entry_room b (base + Array.length a);
+  ensure_entry_room b (base + k);
   let out = ref base in
-  let k = Array.length a in
   let p = ref 0 in
   while !p < k do
-    let j, _ = a.(!p) in
+    let j = keys.(!p) in
     let v = ref 0. in
-    while !p < k && fst a.(!p) = j do
-      v := !v +. snd a.(!p);
+    while !p < k && keys.(!p) = j do
+      v := !v +. vals.(!p);
       incr p
     done;
     if !v <> 0. then begin

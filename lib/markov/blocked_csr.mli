@@ -51,11 +51,25 @@ val builder : ?block_rows:int -> ?spill:string -> unit -> builder
     @raise Invalid_argument if [block_rows < 1]. *)
 
 val add_row : builder -> (int * float) list -> unit
-(** Append the next row.  Entries are sorted by column, duplicate
-    columns merged, exact zeros dropped, so {!nnz} counts structural
-    non-zeros only.  Column bounds are checked at {!finish}, when the
-    final column count is known.
+(** Append the next row.  Entries are sorted by column with {!sort_row},
+    duplicate columns merged, exact zeros dropped, so {!nnz} counts
+    structural non-zeros only.  A merged value is the left-to-right sum,
+    from [0.], of its duplicates in the order {!sort_row} leaves them:
+    that order is part of the matrix bits, and this module owns it.
+    Column bounds are checked at {!finish}, when the final column count
+    is known.
     @raise Invalid_argument on a negative column index. *)
+
+val sort_row : int array -> float array -> int -> unit
+(** [sort_row keys vals len] sorts the first [len] entries of the
+    parallel arrays by key, ascending, moving each value with its key.
+    It is the stdlib [Array.sort] heap sort, comparison for comparison,
+    so it leaves exactly the permutation [Array.sort] leaves on the
+    [(key, value)] pairs compared by key — including the relative order
+    of equal keys, which a stable sort would not reproduce.  The row
+    merge of {!add_row} relies on it.
+    @raise Invalid_argument if [len] is negative or exceeds either
+    array's length. *)
 
 val finish : builder -> cols:int -> t
 (** Seal the matrix with [cols] columns.

@@ -25,6 +25,26 @@ let reachable_states ?hash ?equal ~root ~transitions () =
   done;
   State_index.to_array index
 
+(* A row's successors often repeat one array back to back — all ranks
+   of a value class share their successor (Fact 3.2) — so a lookup first
+   compares the successor with the previous one by physical equality and
+   only hashes on a miss.  The memo lives for one row: [validate_row]
+   reads the row only after the transitions function has returned it,
+   so an array that appears twice in it holds one state, while a caller
+   may reuse an array for another state in a later row. *)
+let memo find =
+  let last = ref None in
+  fun s ->
+    match !last with
+    | Some (s', id) when s' == s -> id
+    | _ ->
+        let id = find s in
+        last := Some (s, id);
+        id
+
+let add_row b ~find row =
+  Blocked_csr.add_row b (Exact.validate_row ~find:(memo find) row)
+
 (* Streaming build: the state index grows as rows are emitted.
 
    For an enumerated space the index is fully populated up front (also
@@ -51,9 +71,7 @@ let build ?block_rows ?spill ?hash ?equal source ~transitions =
             invalid_arg "Exact.build: duplicate state")
         states;
       let find s = State_index.find index s in
-      Array.iter
-        (fun s -> Blocked_csr.add_row b (Exact.validate_row ~find (transitions s)))
-        states
+      Array.iter (fun s -> add_row b ~find (transitions s)) states
   | Reachable root ->
       ignore (State_index.add index root);
       (* The row for state [i] may intern new successors; interning and
@@ -61,8 +79,7 @@ let build ?block_rows ?spill ?hash ?equal source ~transitions =
       let find s = Some (State_index.add index s) in
       let cursor = ref 0 in
       while !cursor < State_index.size index do
-        let row = transitions (State_index.get index !cursor) in
-        Blocked_csr.add_row b (Exact.validate_row ~find row);
+        add_row b ~find (transitions (State_index.get index !cursor));
         incr cursor
       done);
   let n = State_index.size index in

@@ -48,7 +48,17 @@ val build :
 (** Resolve the source and build the chain, streaming rows into a
     {!Blocked_csr} store ([block_rows] rows per shard, default 4096;
     [spill] pages completed shards to a disk block file).  Duplicate
-    successors in a row are merged.
+    successors in a row are merged, in {!Blocked_csr.add_row}'s order.
+
+    Within a row, a successor physically equal ([==]) to the one before
+    it reuses that one's id without being hashed again, so a
+    transitions function that emits one shared array for a run of
+    equal successors (as [Core.Dynamic_process.exact_transitions]
+    does for a value class) pays one lookup per run.  The row is read
+    only after [transitions] returns it, and the memo is dropped
+    between rows, so arrays may be rewritten and reused from one call
+    to the next; an array that sits in the state space (a [reachable]
+    source interns the successors themselves) must not be mutated.
     @raise Invalid_argument ["Exact.build: empty state space"] or
     ["Exact.build: duplicate state"] for a bad enumeration, and as
     {!Exact.validate_row} for a bad row. *)

@@ -1,29 +1,3 @@
-let enumerate ~n ~m =
-  if n <= 0 || m < 0 then invalid_arg "Partition_space.enumerate";
-  let out = ref [] in
-  (* Build parts left to right: remaining balls, remaining slots, cap on
-     the next part (non-increasing order). *)
-  let rec go acc remaining slots cap =
-    if remaining = 0 then out := List.rev acc :: !out
-    else if slots = 0 then ()
-    else
-      (* A part of size [p], p from min(cap, remaining) down to at least
-         ceil(remaining / slots) so the rest fits under the cap p. *)
-      for p = Stdlib.min cap remaining downto 1 do
-        if p * slots >= remaining then go (p :: acc) (remaining - p) (slots - 1) p
-      done
-  in
-  go [] m n m;
-  let to_vector parts =
-    let v = Array.make n 0 in
-    List.iteri (fun i p -> v.(i) <- p) parts;
-    Loadvec.Load_vector.of_array v
-  in
-  let states = List.rev_map to_vector !out in
-  let arr = Array.of_list states in
-  Array.sort (fun a b -> Loadvec.Load_vector.compare b a) arr;
-  arr
-
 let count ~n ~m =
   if n <= 0 || m < 0 then invalid_arg "Partition_space.count";
   (* p(m, k): partitions of m into at most k parts.
@@ -41,20 +15,32 @@ let count ~n ~m =
   done;
   table.(m).(k_max)
 
-type index = {
-  states : Loadvec.Load_vector.t array;
-  lookup : (Loadvec.Load_vector.t, int) Hashtbl.t;
-}
-
-let index_of_space states =
-  let lookup = Hashtbl.create (Array.length states) in
-  Array.iteri (fun i s -> Hashtbl.replace lookup s i) states;
-  { states; lookup }
-
-let find idx v =
-  match Hashtbl.find_opt idx.lookup v with
-  | Some i -> i
-  | None -> raise Not_found
-
-let state idx i = idx.states.(i)
-let size idx = Array.length idx.states
+(* Depth-first over the parts, left to right, each part no larger than
+   the one before it and tried largest first: the leaves come out in
+   lexicographically decreasing order, which is the order promised, so
+   each one is written straight into its slot. *)
+let enumerate ~n ~m =
+  if n <= 0 || m < 0 then invalid_arg "Partition_space.enumerate";
+  let top = Loadvec.Load_vector.all_in_one ~n ~m in
+  let states = Array.make (count ~n ~m) top in
+  let parts = Array.make n 0 in
+  let next = ref 0 in
+  (* Fill [parts.(pos..)] with [remaining] balls, parts at most [cap]. *)
+  let rec go pos remaining cap =
+    if remaining = 0 then begin
+      states.(!next) <- Loadvec.Load_vector.of_sorted parts;
+      incr next
+    end
+    else if pos < n then begin
+      (* A part of size [p] at least ceil(remaining / slots), so the
+         rest fits in the remaining slots under the cap [p]. *)
+      let slots = n - pos in
+      for p = Stdlib.min cap remaining downto (remaining + slots - 1) / slots do
+        parts.(pos) <- p;
+        go (pos + 1) (remaining - p) p
+      done;
+      parts.(pos) <- 0
+    end
+  in
+  go 0 m m;
+  states

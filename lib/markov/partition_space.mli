@@ -8,19 +8,10 @@
 
 val enumerate : n:int -> m:int -> Loadvec.Load_vector.t array
 (** All normalized vectors in Ω_m on [n] bins, in lexicographically
-    decreasing order of the underlying arrays.
+    decreasing order of the underlying arrays — [count ~n ~m] of them,
+    generated in that order, with no sort.
     @raise Invalid_argument if [n <= 0] or [m < 0]. *)
 
 val count : n:int -> m:int -> int
 (** [count ~n ~m] is [p(m, n)], the number of partitions of [m] into at
     most [n] parts — computed without enumerating. *)
-
-type index
-(** Bidirectional mapping between states and dense indices. *)
-
-val index_of_space : Loadvec.Load_vector.t array -> index
-val find : index -> Loadvec.Load_vector.t -> int
-(** @raise Not_found if the vector is not in the space. *)
-
-val state : index -> int -> Loadvec.Load_vector.t
-val size : index -> int

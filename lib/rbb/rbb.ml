@@ -178,27 +178,33 @@ let eject lv =
 (* One round = ejection, then q placement laws folded sequentially.
    Load_vector is a sorted int array, so polymorphic hashing over the
    intermediate distributions is sound. *)
-let exact_transitions t lv =
-  let w, q = eject lv in
-  let place = placement t.rule in
-  let dist = ref [ (w, 1.0) ] in
-  for _ = 1 to q do
-    let acc = Hashtbl.create 64 in
-    List.iter
-      (fun (v, p) ->
-        let ins = Rule.rank_distribution place ~loads:(Lv.to_array v) in
-        Array.iteri
-          (fun r p_ins ->
-            if p_ins > 0. then begin
-              let v' = Lv.oplus v r in
-              let cur = try Hashtbl.find acc v' with Not_found -> 0. in
-              Hashtbl.replace acc v' (cur +. (p *. p_ins))
-            end)
-          ins)
-      !dist;
-    dist := Hashtbl.fold (fun v p out -> (v, p) :: out) acc []
-  done;
-  !dist
+let exact_transitions t =
+  (* The placement law is ABKU[d]'s, which reads only n, not the loads:
+     one table serves every intermediate vector of every round. *)
+  let ins =
+    Rule.rank_distribution (placement t.rule) ~loads:(Array.make t.n 0)
+  in
+  fun lv ->
+    if Lv.dim lv <> t.n then
+      invalid_arg "Rbb.exact_transitions: dimension mismatch";
+    let w, q = eject lv in
+    let dist = ref [ (w, 1.0) ] in
+    for _ = 1 to q do
+      let acc = Hashtbl.create 64 in
+      List.iter
+        (fun (v, p) ->
+          Array.iteri
+            (fun r p_ins ->
+              if p_ins > 0. then begin
+                let v' = Lv.oplus v r in
+                let cur = try Hashtbl.find acc v' with Not_found -> 0. in
+                Hashtbl.replace acc v' (cur +. (p *. p_ins))
+              end)
+            ins)
+        !dist;
+      dist := Hashtbl.fold (fun v p out -> (v, p) :: out) acc []
+    done;
+    !dist
 
 (* {2 Identity-based service machine} *)
 

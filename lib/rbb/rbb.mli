@@ -143,7 +143,10 @@ val exact_transitions :
 (** The distribution of the state after one round: deterministic
     ejection, then [q] placement laws
     ({!Core.Scheduling_rule.rank_distribution}) folded sequentially.
-    Probabilities sum to 1. *)
+    Probabilities sum to 1.  The placement law depends on [n] only; it
+    is computed once when [exact_transitions t] is applied, so reuse
+    that closure.
+    @raise Invalid_argument on a dimension mismatch. *)
 
 (** {2 Identity-based service machine}
 

@@ -186,6 +186,18 @@ let test_core_errors () =
         (Core.Relocation.make Core.Scenario.A (Sr.abku 1) ~relocations:(-1) ~n:2));
   inv "Open_process.make: n must be positive" (fun () ->
       ignore (Core.Open_process.make (Sr.abku 1) ~n:0));
+  (* The ABKU law is computed once from the process's n, so a vector
+     of another dimension is refused rather than read with it. *)
+  inv "Dynamic_process.exact_transitions: dimension mismatch" (fun () ->
+      ignore
+        (Core.Dynamic_process.exact_transitions
+           (Core.Dynamic_process.make Core.Scenario.A (Sr.abku 2) ~n:3)
+           (Loadvec.Load_vector.uniform ~n:4 ~m:4)));
+  inv "Rbb.exact_transitions: dimension mismatch" (fun () ->
+      ignore
+        (Rbb.exact_transitions
+           (Rbb.make (Rbb.dchoice 2) ~n:3)
+           (Loadvec.Load_vector.uniform ~n:4 ~m:4)));
   inv "Weighted.create: n must be positive" (fun () ->
       ignore (Core.Weighted.create ~n:0));
   inv "Weighted.insert: d must be >= 1" (fun () ->

@@ -26,6 +26,18 @@ let test_of_array_invalid () =
     (Invalid_argument "Load_vector.of_array: negative load") (fun () ->
       ignore (Lv.of_array [| 1; -1 |]))
 
+let test_of_sorted () =
+  let a = [| 5; 3; 3; 0 |] in
+  let v = Lv.of_sorted a in
+  a.(0) <- 9;
+  Alcotest.(check (array int)) "copied" [| 5; 3; 3; 0 |] (Lv.to_array v);
+  List.iter
+    (fun a ->
+      Alcotest.check_raises "not normalized"
+        (Invalid_argument "Load_vector.of_sorted: not normalized") (fun () ->
+          ignore (Lv.of_sorted a)))
+    [ [||]; [| 1; 3 |]; [| 2; -1 |] ]
+
 let test_of_loads () =
   let v = Lv.of_loads ~n:4 [ 2; 1 ] in
   Alcotest.(check (array int)) "padded" [| 2; 1; 0; 0 |] (Lv.to_array v);
@@ -313,6 +325,7 @@ let suite =
     [
       ("of_array sorts", test_of_array_sorts);
       ("of_array invalid", test_of_array_invalid);
+      ("of_sorted", test_of_sorted);
       ("of_loads", test_of_loads);
       ("uniform", test_uniform);
       ("all_in_one", test_all_in_one);

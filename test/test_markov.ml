@@ -115,17 +115,39 @@ let test_partition_count_matches_enumerate_sweep () =
     done
   done
 
-let test_partition_index () =
-  let states = Markov.Partition_space.enumerate ~n:3 ~m:5 in
-  let idx = Markov.Partition_space.index_of_space states in
-  Alcotest.(check int) "size" (Array.length states)
-    (Markov.Partition_space.size idx);
-  Array.iteri
-    (fun i v ->
-      Alcotest.(check int) "roundtrip" i (Markov.Partition_space.find idx v))
-    states;
-  Alcotest.check_raises "missing" Not_found (fun () ->
-      ignore (Markov.Partition_space.find idx (Lv.of_array [| 9; 9; 9 |])))
+(* The historical enumeration — a list of part lists, each re-sorted by
+   [Lv.of_array], then one final sort — kept as the oracle for the
+   direct-to-array DFS. *)
+let enumerate_oracle ~n ~m =
+  let out = ref [] in
+  let rec go acc remaining slots cap =
+    if remaining = 0 then out := List.rev acc :: !out
+    else if slots = 0 then ()
+    else
+      for p = Stdlib.min cap remaining downto 1 do
+        if p * slots >= remaining then
+          go (p :: acc) (remaining - p) (slots - 1) p
+      done
+  in
+  go [] m n m;
+  let to_vector parts =
+    let v = Array.make n 0 in
+    List.iteri (fun i p -> v.(i) <- p) parts;
+    Lv.of_array v
+  in
+  let arr = Array.of_list (List.rev_map to_vector !out) in
+  Array.sort (fun a b -> Lv.compare b a) arr;
+  arr
+
+let test_partition_enumerate_oracle () =
+  List.iter
+    (fun (n, m) ->
+      Alcotest.(check (array (array int)))
+        (Printf.sprintf "n=%d m=%d" n m)
+        (Array.map Lv.to_array (enumerate_oracle ~n ~m))
+        (Array.map Lv.to_array (Markov.Partition_space.enumerate ~n ~m)))
+    [ (1, 0); (1, 5); (4, 0); (3, 4); (5, 12); (12, 5); (7, 7); (16, 16);
+      (20, 13) ]
 
 (* A two-state chain with known stationary distribution and mixing rate:
    P = [[1-p, p], [q, 1-q]], pi = (q, p)/(p+q). *)
@@ -736,6 +758,126 @@ let test_product_bits_pinned () =
         [ false; true ])
     [ 1; 2 ]
 
+(* The spill file of a build is its matrix, bit for bit. *)
+let spill_digest ?block_rows source ~transitions =
+  let path = Filename.temp_file "test_pin" ".blk" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let c =
+        Markov.Exact_builder.build ?block_rows ~spill:path source ~transitions
+      in
+      Markov.Blocked_csr.close (Markov.Exact.blocked c);
+      Digest.to_hex (Digest.file path))
+
+(* Digests recorded with the builder that emitted one successor array
+   per insertion rank, looked every one of them up, and sorted each row
+   with the stdlib [Array.sort] on pairs.  The build path may get
+   faster; its bits may not move. *)
+let test_build_bits_pinned () =
+  let enum n =
+    Markov.Exact_builder.enumerated (Markov.Partition_space.enumerate ~n ~m:n)
+  in
+  let dyn scenario rule ~n =
+    Core.Dynamic_process.exact_transitions
+      (Core.Dynamic_process.make scenario rule ~n)
+  in
+  let abku2 = Core.Scheduling_rule.abku 2 in
+  let check what expect got = Alcotest.(check string) what expect got in
+  check "Id-ABKU[2] n=24" "8f847f3cef1a5d02ed40c7bbe7231abd"
+    (spill_digest ~block_rows:512 (enum 24)
+       ~transitions:(dyn Core.Scenario.A abku2 ~n:24));
+  check "Ib-ABKU[2] n=24" "b42ea39818321526fa50c9587d76b0eb"
+    (spill_digest ~block_rows:512 (enum 24)
+       ~transitions:(dyn Core.Scenario.B abku2 ~n:24));
+  check "Id-ADAP(linear) n=20" "5a6d3a3e3df531546deaad33f4ad2782"
+    (spill_digest (enum 20)
+       ~transitions:
+         (dyn Core.Scenario.A
+            (Core.Scheduling_rule.adap (Core.Adaptive.linear ()))
+            ~n:20));
+  let open_process = Core.Open_process.make ~capacity:12 abku2 ~n:8 in
+  check "Open(ABKU[2], cap=12) n=8" "76567dbca7e7086cef2b1cc4b01014f4"
+    (spill_digest
+       (Markov.Exact_builder.reachable ~root:(Lv.of_array (Array.make 8 0)))
+       ~transitions:(Core.Open_process.exact_transitions open_process));
+  check "RBB-d2 n=16" "26cfee1b6f354e882732bf627fcfede7"
+    (spill_digest (enum 16)
+       ~transitions:(Rbb.exact_transitions (Rbb.make (Rbb.dchoice 2) ~n:16)))
+
+(* The lookup memo keys on physical equality: shared successor arrays,
+   fresh copies of them, and a buffer that one row ends on and the next
+   row starts on, rewritten in between, must all build one matrix. *)
+let test_build_shared_successors () =
+  let n = 12 in
+  let states =
+    Markov.Exact_builder.enumerated (Markov.Partition_space.enumerate ~n ~m:n)
+  in
+  let shared =
+    Core.Dynamic_process.exact_transitions
+      (Core.Dynamic_process.make Core.Scenario.A
+         (Core.Scheduling_rule.abku 2) ~n)
+  in
+  let fresh s =
+    List.map (fun (v, p) -> (Lv.of_array (Lv.to_array v), p)) (shared s)
+  in
+  Alcotest.(check string) "fresh = shared"
+    (spill_digest states ~transitions:shared)
+    (spill_digest states ~transitions:fresh);
+  let k = 5 in
+  let ids = Markov.Exact_builder.enumerated (Array.init k (fun i -> [| i |])) in
+  let next i = [| (i + 1) mod k |] and prev i = [| (i + k - 1) mod k |] in
+  let expected = function
+    | [| i |] when i mod 2 = 0 -> [ (prev i, 0.5); (next i, 0.5) ]
+    | [| i |] -> [ (next i, 0.5); (prev i, 0.5) ]
+    | _ -> assert false
+  in
+  let buf = [| 0 |] in
+  let reused = function
+    | [| i |] when i mod 2 = 0 ->
+        buf.(0) <- (i + 1) mod k;
+        [ (prev i, 0.5); (buf, 0.5) ]
+    | [| i |] ->
+        buf.(0) <- (i + 1) mod k;
+        [ (buf, 0.5); (prev i, 0.5) ]
+    | _ -> assert false
+  in
+  Alcotest.(check string) "buffer reused across rows"
+    (spill_digest ids ~transitions:expected)
+    (spill_digest ids ~transitions:reused)
+
+(* [Blocked_csr.sort_row] against the stdlib sort it replaces: the same
+   (key, value-bits) sequence, duplicates included, and nothing past
+   [len] touched. *)
+let qcheck_sort_row_matches_array_sort =
+  let gen =
+    QCheck.Gen.(
+      let* len = frequency [ (1, int_range 0 2); (3, int_range 0 300) ] in
+      let* span = oneofl [ 1; 2; 5; 40; 1000 ] in
+      list_repeat len (pair (int_bound (span - 1)) (float_bound_inclusive 1.)))
+  in
+  QCheck.Test.make ~name:"sort_row = Array.sort on pairs" ~count:500
+    (QCheck.make ~print:QCheck.Print.(list (pair int float)) gen)
+    (fun entries ->
+      let pairs = Array.of_list entries in
+      let len = Array.length pairs in
+      Array.sort (fun (a, _) (b, _) -> compare (a : int) b) pairs;
+      let keys = Array.make (len + 3) (-7) in
+      let vals = Array.make (len + 3) nan in
+      List.iteri
+        (fun i (k, v) ->
+          keys.(i) <- k;
+          vals.(i) <- v)
+        entries;
+      Markov.Blocked_csr.sort_row keys vals len;
+      let bits v = Int64.bits_of_float v in
+      Array.for_all Fun.id
+        (Array.mapi
+           (fun i (k, v) -> keys.(i) = k && bits vals.(i) = bits v)
+           pairs)
+      && Array.for_all (fun k -> k = -7) (Array.sub keys len 3)
+      && Array.for_all Float.is_nan (Array.sub vals len 3))
+
 let suite =
   List.map (fun (n, f) -> Alcotest.test_case n `Quick f)
     [
@@ -749,7 +891,7 @@ let suite =
       ("partition count small", test_partition_count_small);
       ("partition enumerate", test_partition_enumerate);
       ("partition count sweep", test_partition_count_matches_enumerate_sweep);
-      ("partition index", test_partition_index);
+      ("partition enumerate = oracle", test_partition_enumerate_oracle);
       ("exact stationary", test_exact_stationary_two_state);
       ("exact tv distance", test_exact_tv);
       ("exact distribution_after", test_exact_distribution_after);
@@ -777,4 +919,7 @@ let suite =
       ("checkpoint sink throttle", test_checkpoint_sink_throttle);
       ("mixing checkpoint resume via file", test_mixing_checkpoint_resume_file);
       ("product bits pinned (n=24, two chunks)", test_product_bits_pinned);
+      ("build spill bits pinned", test_build_bits_pinned);
+      ("build shared vs fresh successors", test_build_shared_successors);
     ]
+  @ List.map QCheck_alcotest.to_alcotest [ qcheck_sort_row_matches_array_sort ]

@@ -75,14 +75,13 @@ let qcheck_exact_transitions_stay_in_space =
       let g = rng_of seed in
       let scenario = if scenario_b then Core.Scenario.B else Core.Scenario.A in
       let process = Core.Dynamic_process.make scenario (Sr.abku 2) ~n in
-      let states = Markov.Partition_space.enumerate ~n ~m in
-      let idx = Markov.Partition_space.index_of_space states in
+      let space = Hashtbl.create 64 in
+      Array.iter
+        (fun s -> Hashtbl.replace space s ())
+        (Markov.Partition_space.enumerate ~n ~m);
       let v = random_vector g ~n ~m in
       List.for_all
-        (fun (s, _) ->
-          match Markov.Partition_space.find idx s with
-          | _ -> true
-          | exception Not_found -> false)
+        (fun (s, _) -> Hashtbl.mem space s)
         (Core.Dynamic_process.exact_transitions process v))
 
 let qcheck_partition_count_matches_enumerate =
